@@ -5,7 +5,7 @@ validators, and a compiler from U-sentences to team formulas."""
 from .errors import (BudgetExceededError, DependencyLookupError, DomainError,
                      FormulaSyntaxError, ValidationError)
 from .structures import (Element, IdentityType, RelStructure, Relation,
-                         Structure, Team, empty_team, enumerate_relations,
+                         Structure, Team, enumerate_relations,
                          enumerate_retraction_homs, extend_universal,
                          full_team, identity_type_of, is_substructure,
                          restrict_team, team_equiv_on, team_projection)

@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 true/pass, 1 false/counterexample found, 2 usage or
-validation error, 3 node budget exceeded.  All diagnostics go to standard
-error with an ``error:`` prefix.  ``--format json`` switches the payload on
-standard output to a stable JSON document.
+validation error, 3 node budget exceeded, 4 out of memory or recursion
+depth.  All diagnostics go to standard error with an ``error:`` prefix.
+``--format json`` switches the payload on standard output to a stable JSON
+document.
 
 The node budget is configurable per invocation with ``--budget`` or the
 ``TEAMSEM_NODE_BUDGET`` environment variable.  ``--seed`` only affects
@@ -29,13 +30,14 @@ from .harness import (build_chain_instance, build_parity_instance,
 from .syntax import (parse_formula, parse_fo_sentence, to_text, validate_ded,
                      validate_usentence)
 from .tarski import tarski_eval
-from .teameval import DEFAULT_BUDGET, team_eval, eval_sentence
+from .teameval import DEFAULT_BUDGET, STRATEGIES, team_eval, eval_sentence
 from .ulogic import usentence_translate
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_RESOURCE = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,8 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-f", "--formula", required=True)
     p.add_argument("-d", "--dependency", action="append", default=[],
                    help="dependency JSON file (repeatable)")
-    p.add_argument("--strategy", choices=("naive", "memoized", "optimized"),
-                   default="memoized")
+    p.add_argument("--strategy", choices=STRATEGIES, default="memoized")
 
     p = sub.add_parser("tarski", parents=[common],
                        help="evaluate a first-order formula at one assignment")
@@ -80,8 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--other", required=True)
     p.add_argument("-d", "--dependency", action="append", default=[])
     p.add_argument("--max-domain", type=int, default=3)
-    p.add_argument("--strategy", choices=("naive", "memoized", "optimized"),
-                   default="memoized")
+    p.add_argument("--strategy", choices=STRATEGIES, default="memoized")
 
     p = sub.add_parser("translate", parents=[common],
                        help="compile a U-sentence to a team formula over "
@@ -283,6 +283,12 @@ def run_command(argv: Sequence[str]) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (RecursionError, MemoryError) as exc:
+        # Exit status 1 means "false"; running out of a resource is no verdict.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of resources ({type(exc).__name__}{detail})",
+              file=sys.stderr)
+        return EXIT_RESOURCE
     except (FormulaSyntaxError, ValidationError, DomainError,
             DependencyLookupError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

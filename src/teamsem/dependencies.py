@@ -21,11 +21,14 @@ from .errors import DependencyLookupError, DomainError, ValidationError
 from .structures import (Element, RelStructure, Relation, Structure,
                          enumerate_relations, enumerate_retraction_homs,
                          is_substructure)
-from .syntax import (And, DedSentence, Formula, Forall, NamedDep, Or,
-                     RelAtom, Var, parse_fo_sentence, validate_ded)
+from .syntax import (BUILTIN_KINDS, UNSPLIT_KINDS, And, DedSentence, Formula,
+                     Forall, NamedDep, Or, RelAtom, Var, parse_fo_sentence,
+                     validate_ded)
 from .tarski import tarski_sentence
 
-_BUILTINS = ("dep", "const", "inc", "ind", "anon", "ne")
+# Removing tuples cannot break functionality or constancy; it can break
+# nonemptiness, inclusion, independence and anonymity.
+DOWNWARD_CLOSED_KINDS = frozenset({"dep", "const"})
 _DEFAULTS = ("strict", "true", "false")
 
 RelationSet = frozenset
@@ -67,9 +70,9 @@ class Dependency:
         self._table: dict[tuple, bool] = {}
         self._iso_check: bool | None = None
         if kind == "builtin":
-            if builtin not in _BUILTINS:
+            if builtin not in BUILTIN_KINDS:
                 raise ValidationError(f"unknown builtin dependency {builtin!r}")
-            if builtin in ("dep", "inc", "ind", "anon"):
+            if builtin not in UNSPLIT_KINDS:
                 if split is None or sum(split) != arity or any(s < 0 for s in split):
                     raise ValidationError(
                         f"builtin {builtin} needs a split (n, m) with n+m={arity}")
@@ -99,9 +102,7 @@ class Dependency:
 
     def _derive_downward_closed(self) -> bool:
         if self.kind == "builtin":
-            # Removing tuples cannot break functionality/constancy; it can
-            # break nonemptiness, inclusion, independence, and anonymity.
-            return self.builtin in ("dep", "const")
+            return self.builtin in DOWNWARD_CLOSED_KINDS
         if self.kind == "fo" and self.sentence is not None:
             try:
                 ded = validate_ded(self.sentence, self.rel_name)
@@ -109,9 +110,6 @@ class Dependency:
                 return False
             return all(not exists_vars for exists_vars, _ in ded.disjuncts)
         return False
-
-    def table_entries(self) -> list[tuple[tuple, bool]]:
-        return sorted(self._table.items())
 
     def isomorphism_closure_recorded(self) -> bool | None:
         """Result of the last on-demand table isomorphism check, if any."""
@@ -229,7 +227,7 @@ def dep_holds(dep: Dependency, domain: Iterable[Element],
         if not domset.issuperset(t):
             raise DomainError(f"tuple {t} leaves the domain")
     if dep.kind == "builtin":
-        return _builtin_holds(dep, r)
+        return builtin_holds(dep.builtin, dep.split[0] if dep.split else 0, r)
     if dep.kind == "fo":
         structure = Structure(dom, {}, {dep.rel_name: Relation(dep.arity, r)})
         return tarski_sentence(structure, dep.sentence)
@@ -243,31 +241,39 @@ def dep_holds(dep: Dependency, domain: Iterable[Element],
     return dep.default == "true"
 
 
-def _builtin_holds(dep: Dependency, r: frozenset) -> bool:
-    b = dep.builtin
-    if b == "ne":
-        return bool(r)
-    if b == "const":
-        return len(r) <= 1
-    n, m = dep.split
-    if b == "dep":
+def builtin_holds(kind: str, n_left: int,
+                  relation: set[tuple] | frozenset[tuple]) -> bool:
+    """Whether a relation lies in the class of the builtin kind, each tuple
+    split into its first n_left places and the rest (the split is ignored
+    by the unsplit kinds const and ne).
+
+    This is the one definition of the builtin atoms: BuiltinAtom(kind, v,
+    w) holds on a team exactly when its projection onto v + w satisfies
+    builtin_holds(kind, len(v), .).
+    """
+    if kind == "ne":
+        return bool(relation)
+    if kind == "const":
+        return len(relation) <= 1
+    if kind == "dep":
         seen: dict[tuple, tuple] = {}
-        for t in r:
-            image = seen.setdefault(t[:n], t[n:])
-            if image != t[n:]:
+        for t in relation:
+            if seen.setdefault(t[:n_left], t[n_left:]) != t[n_left:]:
                 return False
         return True
-    left = {t[:n] for t in r}
-    right = {t[n:] for t in r}
-    if b == "inc":
+    left = {t[:n_left] for t in relation}
+    right = {t[n_left:] for t in relation}
+    if kind == "inc":
         return left <= right
-    if b == "ind":
-        return r == frozenset(a + c for a in left for c in right)
-    # anon: every left value has at least two distinct right values
-    groups: dict[tuple, set] = {}
-    for t in r:
-        groups.setdefault(t[:n], set()).add(t[n:])
-    return all(len(vals) >= 2 for vals in groups.values())
+    if kind == "ind":
+        return relation == {a + c for a in left for c in right}
+    if kind == "anon":
+        # every left value has at least two distinct right values
+        groups: dict[tuple, set] = {}
+        for t in relation:
+            groups.setdefault(t[:n_left], set()).add(t[n_left:])
+        return all(len(vals) >= 2 for vals in groups.values())
+    raise ValueError(f"unknown builtin kind {kind!r}")
 
 
 def dep_class_sentence(dep: Dependency, rel_name: str = "R") -> Formula:

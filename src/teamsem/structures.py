@@ -319,10 +319,6 @@ def enumerate_retraction_homs(sub: RelStructure,
             yield h
 
 
-def empty_team(variables: Sequence[str]) -> Team:
-    return Team(variables)
-
-
 def full_team(variables: Sequence[str], structure: Structure) -> Team:
     """All assignments of the variables into the structure's domain."""
     vs = tuple(variables)

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import FormulaSyntaxError, ValidationError
 
@@ -143,50 +144,45 @@ class Forall(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
-class DepAtom(Formula):
-    """dep(v;w): rows agreeing on v agree on w.  Empty v means constancy."""
-
-    determinants: tuple[str, ...]
-    dependents: tuple[str, ...]
+# Builtin dependency atom kinds.  The unsplit kinds take one variable list,
+# the others two lists separated by ";".
+BUILTIN_KINDS = ("dep", "const", "inc", "ind", "anon", "ne")
+UNSPLIT_KINDS = ("const", "ne")
 
 
 @dataclass(frozen=True)
-class ConstAtom(Formula):
-    """const(w): all rows agree on w."""
+class BuiltinAtom(Formula):
+    """kind(left;right), or kind(left) for the unsplit kinds.
 
-    vars: tuple[str, ...]
+    A team satisfies it exactly when its projection onto left + right lies
+    in the class dependencies.builtin_holds(kind, len(left), .) defines:
 
+      dep(v;w)   rows agreeing on v agree on w; empty v means constancy
+      const(w)   all rows agree on w
+      inc(v;w)   the v-projection is contained in the w-projection
+      ind(v;w)   the vw-projection is the product of the two projections
+      anon(v;w)  every row has a partner agreeing on v and differing on w
+      ne(v)      the v-projection is nonempty
+    """
 
-@dataclass(frozen=True)
-class IncAtom(Formula):
-    """inc(v;w): the v-projection is contained in the w-projection."""
-
+    kind: str
     left: tuple[str, ...]
-    right: tuple[str, ...]
+    right: tuple[str, ...] = ()
 
-
-@dataclass(frozen=True)
-class IndAtom(Formula):
-    """ind(v;w): the vw-projection is the product of the two projections."""
-
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class AnonAtom(Formula):
-    """anon(v;w): every row has a partner agreeing on v and differing on w."""
-
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class NeAtom(Formula):
-    """ne(v): the v-projection is nonempty."""
-
-    vars: tuple[str, ...]
+    def __post_init__(self):
+        # the shapes the parser accepts, so to_text round-trips
+        if self.kind not in BUILTIN_KINDS:
+            raise ValidationError(f"unknown builtin atom kind {self.kind!r}")
+        if not self.left and self.kind != "dep":
+            raise ValidationError(f"{self.kind} needs a nonempty first "
+                                  "variable list")
+        if self.kind in UNSPLIT_KINDS:
+            if self.right:
+                raise ValidationError(f"{self.kind} takes one variable list")
+        elif not self.right:
+            raise ValidationError(f"{self.kind} needs a variable after ';'")
+        if self.kind == "inc" and len(self.left) != len(self.right):
+            raise ValidationError("inc takes variable tuples of equal length")
 
 
 @dataclass(frozen=True)
@@ -197,9 +193,7 @@ class NamedDep(Formula):
     vars: tuple[str, ...]
 
 
-_BUILTIN_HEADS = ("dep", "const", "inc", "ind", "anon", "ne")
-
-_DEP_ATOM_TYPES = (DepAtom, ConstAtom, IncAtom, IndAtom, AnonAtom, NeAtom, NamedDep)
+_DEPENDENCY_ATOMS = (BuiltinAtom, NamedDep)
 
 
 # --- Tree helpers ---
@@ -236,113 +230,130 @@ def disjuncts_of(phi: Formula) -> list[Formula]:
     return [phi]
 
 
+# --- Generic traversal ---
+#
+# One table, keyed on the node type, lists each node's formula children in
+# printing order.  Walks that treat most node types alike dispatch through
+# it; code that gives each node its own meaning (the Tarski kernel, the
+# printer, the evaluator's rules) keeps its own dispatch.
+
+def _no_children(phi: Formula) -> tuple[()]:
+    return ()
+
+
+def _body(phi: Formula) -> tuple[Formula]:
+    return (phi.body,)
+
+
+_left_right = attrgetter("left", "right")
+
+_CHILDREN = {
+    RelAtom: _no_children, Eq: _no_children,
+    BuiltinAtom: _no_children, NamedDep: _no_children,
+    Not: _body, Exists: _body, Forall: _body,
+    And: _left_right, Or: _left_right, GlobalOr: _left_right,
+    Implies: _left_right, Hook: attrgetter("guard", "body"),
+}
+
+_BINDERS = (Exists, Forall)
+
+
+def children(phi: Formula) -> tuple[Formula, ...]:
+    """The formula children of a node in printing order; () for atoms."""
+    try:
+        get = _CHILDREN[type(phi)]
+    except KeyError:
+        raise TypeError(f"not a formula: {phi!r}") from None
+    return get(phi)
+
+
+def rebuild(phi: Formula, kids: Sequence[Formula]) -> Formula:
+    """A node of phi's type and fields with its children replaced by kids,
+    given in children() order."""
+    if not kids:
+        return phi
+    if type(phi) in _BINDERS:
+        return type(phi)(phi.var, *kids)
+    return type(phi)(*kids)
+
+
+def subformulas(phi: Formula) -> Iterator[Formula]:
+    """Every node of phi, phi first, depth first and left to right."""
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        yield f
+        stack.extend(reversed(children(f)))
+
+
+def _terms(phi: Formula) -> tuple[Term, ...]:
+    """The terms of a literal; () for every other node."""
+    if type(phi) is RelAtom:
+        return phi.terms
+    if type(phi) is Eq:
+        return (phi.left, phi.right)
+    return ()
+
+
+def _literal_vars(phi: Formula) -> frozenset[str]:
+    return frozenset([t.name for t in _terms(phi) if isinstance(t, Var)])
+
+
+# The variables each kind of atom mentions.
+_ATOM_VARS = {
+    RelAtom: _literal_vars, Eq: _literal_vars,
+    BuiltinAtom: lambda phi: frozenset(phi.left + phi.right),
+    NamedDep: lambda phi: frozenset(phi.vars),
+}
+
+
+def atom_vars(phi: Formula) -> frozenset[str]:
+    """The variables an atom mentions; empty for every other node."""
+    get = _ATOM_VARS.get(type(phi))
+    return frozenset() if get is None else get(phi)
+
+
 def free_vars(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, RelAtom):
-        return frozenset(t.name for t in phi.terms if isinstance(t, Var))
-    if isinstance(phi, Eq):
-        return frozenset(t.name for t in (phi.left, phi.right) if isinstance(t, Var))
-    if isinstance(phi, (Not,)):
-        return free_vars(phi.body)
-    if isinstance(phi, (And, Or, GlobalOr, Implies)):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, Hook):
-        return free_vars(phi.guard) | free_vars(phi.body)
-    if isinstance(phi, (Exists, Forall)):
+    get = _ATOM_VARS.get(type(phi))
+    if get is not None:
+        return get(phi)
+    if type(phi) in _BINDERS:
         return free_vars(phi.body) - {phi.var}
-    if isinstance(phi, DepAtom):
-        return frozenset(phi.determinants) | frozenset(phi.dependents)
-    if isinstance(phi, ConstAtom):
-        return frozenset(phi.vars)
-    if isinstance(phi, (IncAtom, IndAtom, AnonAtom)):
-        return frozenset(phi.left) | frozenset(phi.right)
-    if isinstance(phi, NeAtom):
-        return frozenset(phi.vars)
-    if isinstance(phi, NamedDep):
-        return frozenset(phi.vars)
-    raise TypeError(f"not a formula: {phi!r}")
+    out = frozenset()
+    for kid in children(phi):
+        out |= free_vars(kid)
+    return out
 
 
 def all_var_names(phi: Formula) -> frozenset[str]:
     """Every variable name occurring anywhere, bound or free."""
-    if isinstance(phi, RelAtom):
-        return frozenset(t.name for t in phi.terms if isinstance(t, Var))
-    if isinstance(phi, Eq):
-        return frozenset(t.name for t in (phi.left, phi.right) if isinstance(t, Var))
-    if isinstance(phi, Not):
-        return all_var_names(phi.body)
-    if isinstance(phi, (And, Or, GlobalOr, Implies)):
-        return all_var_names(phi.left) | all_var_names(phi.right)
-    if isinstance(phi, Hook):
-        return all_var_names(phi.guard) | all_var_names(phi.body)
-    if isinstance(phi, (Exists, Forall)):
-        return all_var_names(phi.body) | {phi.var}
-    return free_vars(phi)
+    names: set[str] = set()
+    for f in subformulas(phi):
+        names |= atom_vars(f)
+        if type(f) in _BINDERS:
+            names.add(f.var)
+    return frozenset(names)
 
 
 def constant_symbols(phi: Formula) -> frozenset[str]:
-    out: set[str] = set()
-
-    def walk(f: Formula):
-        if isinstance(f, RelAtom):
-            out.update(t.name for t in f.terms if isinstance(t, ConstSym))
-        elif isinstance(f, Eq):
-            out.update(t.name for t in (f.left, f.right) if isinstance(t, ConstSym))
-        elif isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, (And, Or, GlobalOr, Implies)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, Hook):
-            walk(f.guard)
-            walk(f.body)
-        elif isinstance(f, (Exists, Forall)):
-            walk(f.body)
-
-    walk(phi)
-    return frozenset(out)
+    return frozenset(t.name for f in subformulas(phi) for t in _terms(f)
+                     if isinstance(t, ConstSym))
 
 
 def relation_symbols(phi: Formula) -> dict[str, int]:
     """Relation names with arities; raises on inconsistent use."""
     out: dict[str, int] = {}
-
-    def walk(f: Formula):
-        if isinstance(f, RelAtom):
+    for f in subformulas(phi):
+        if type(f) is RelAtom:
             k = len(f.terms)
             if out.setdefault(f.name, k) != k:
                 raise ValidationError(f"relation {f.name} used with mixed arities")
-        elif isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, (And, Or, GlobalOr, Implies)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, Hook):
-            walk(f.guard)
-            walk(f.body)
-        elif isinstance(f, (Exists, Forall)):
-            walk(f.body)
-
-    walk(phi)
     return out
 
 
 def has_dependency_atoms(phi: Formula) -> bool:
-    if isinstance(phi, _DEP_ATOM_TYPES):
-        return True
-    if isinstance(phi, Not):
-        return has_dependency_atoms(phi.body)
-    if isinstance(phi, (And, Or, GlobalOr, Implies)):
-        return has_dependency_atoms(phi.left) or has_dependency_atoms(phi.right)
-    if isinstance(phi, Hook):
-        return has_dependency_atoms(phi.guard) or has_dependency_atoms(phi.body)
-    if isinstance(phi, (Exists, Forall)):
-        return has_dependency_atoms(phi.body)
-    return False
-
-
-def is_first_order(phi: Formula) -> bool:
-    """No dependency atoms anywhere (Not/Implies still allowed)."""
-    return not has_dependency_atoms(phi)
+    return (isinstance(phi, _DEPENDENCY_ATOMS)
+            or any(map(has_dependency_atoms, children(phi))))
 
 
 def validate_team_formula(phi: Formula) -> None:
@@ -352,28 +363,16 @@ def validate_team_formula(phi: Formula) -> None:
     dependency atoms are never negated; hook guards are first order and
     themselves NNF; Implies does not occur.
     """
-    if isinstance(phi, (RelAtom, Eq) + _DEP_ATOM_TYPES):
-        return
-    if isinstance(phi, Not):
+    if type(phi) is Not:
         raise TypeError("team formulas must be in negation normal form "
                         f"(found general negation over {to_text(phi.body)})")
-    if isinstance(phi, Implies):
+    if type(phi) is Implies:
         raise TypeError("classical implication is not a team connective; "
                         "normalize with to_nnf or use the hook ->>")
-    if isinstance(phi, (And, Or, GlobalOr)):
-        validate_team_formula(phi.left)
-        validate_team_formula(phi.right)
-        return
-    if isinstance(phi, Hook):
-        if has_dependency_atoms(phi.guard):
-            raise TypeError("hook guard must be first order (dependency atom found)")
-        validate_team_formula(phi.guard)
-        validate_team_formula(phi.body)
-        return
-    if isinstance(phi, (Exists, Forall)):
-        validate_team_formula(phi.body)
-        return
-    raise TypeError(f"not a formula: {phi!r}")
+    if type(phi) is Hook and has_dependency_atoms(phi.guard):
+        raise TypeError("hook guard must be first order (dependency atom found)")
+    for kid in children(phi):
+        validate_team_formula(kid)
 
 
 # --- Negation normal form ---
@@ -384,25 +383,11 @@ def to_nnf(phi: Formula) -> Formula:
     Tarski-equivalent on first-order fragments.  Negation over a subformula
     containing a dependency atom has no meaning here and raises TypeError.
     """
-    if isinstance(phi, (RelAtom, Eq) + _DEP_ATOM_TYPES):
-        return phi
-    if isinstance(phi, And):
-        return And(to_nnf(phi.left), to_nnf(phi.right))
-    if isinstance(phi, Or):
-        return Or(to_nnf(phi.left), to_nnf(phi.right))
-    if isinstance(phi, GlobalOr):
-        return GlobalOr(to_nnf(phi.left), to_nnf(phi.right))
-    if isinstance(phi, Hook):
-        return Hook(to_nnf(phi.guard), to_nnf(phi.body))
-    if isinstance(phi, Exists):
-        return Exists(phi.var, to_nnf(phi.body))
-    if isinstance(phi, Forall):
-        return Forall(phi.var, to_nnf(phi.body))
-    if isinstance(phi, Implies):
+    if type(phi) is Implies:
         return Or(_nnf_neg(phi.left), to_nnf(phi.right))
-    if isinstance(phi, Not):
+    if type(phi) is Not:
         return _nnf_neg(phi.body)
-    raise TypeError(f"not a formula: {phi!r}")
+    return rebuild(phi, [to_nnf(k) for k in children(phi)])
 
 
 def _nnf_neg(phi: Formula) -> Formula:
@@ -428,7 +413,7 @@ def _nnf_neg(phi: Formula) -> Formula:
         if has_dependency_atoms(phi.body):
             raise TypeError("cannot negate a hook whose body has dependency atoms")
         return And(to_nnf(phi.guard), _nnf_neg(phi.body))
-    if isinstance(phi, _DEP_ATOM_TYPES):
+    if isinstance(phi, _DEPENDENCY_ATOMS):
         raise TypeError(f"cannot negate a dependency atom: {to_text(phi)}")
     if isinstance(phi, GlobalOr):
         raise TypeError("cannot negate a global disjunction")
@@ -482,18 +467,10 @@ def _print_node(phi: Formula) -> tuple[str, int]:
     if isinstance(phi, Eq):
         op = "=" if phi.positive else "!="
         return f"{_term_text(phi.left)}{op}{_term_text(phi.right)}", _LVL_UNIT
-    if isinstance(phi, DepAtom):
-        return f"dep({_varlist(phi.determinants)};{_varlist(phi.dependents)})", _LVL_UNIT
-    if isinstance(phi, ConstAtom):
-        return f"const({_varlist(phi.vars)})", _LVL_UNIT
-    if isinstance(phi, IncAtom):
-        return f"inc({_varlist(phi.left)};{_varlist(phi.right)})", _LVL_UNIT
-    if isinstance(phi, IndAtom):
-        return f"ind({_varlist(phi.left)};{_varlist(phi.right)})", _LVL_UNIT
-    if isinstance(phi, AnonAtom):
-        return f"anon({_varlist(phi.left)};{_varlist(phi.right)})", _LVL_UNIT
-    if isinstance(phi, NeAtom):
-        return f"ne({_varlist(phi.vars)})", _LVL_UNIT
+    if isinstance(phi, BuiltinAtom):
+        if phi.kind in UNSPLIT_KINDS:
+            return f"{phi.kind}({_varlist(phi.left)})", _LVL_UNIT
+        return f"{phi.kind}({_varlist(phi.left)};{_varlist(phi.right)})", _LVL_UNIT
     if isinstance(phi, NamedDep):
         return f"D:{phi.dep_name}({_varlist(phi.vars)})", _LVL_UNIT
     if isinstance(phi, And):
@@ -665,7 +642,7 @@ class _Parser:
         if tok == "!":
             self._next()
             name = self._name("relation name")
-            if name in _BUILTIN_HEADS or self._peek() != "(":
+            if name in BUILTIN_KINDS or self._peek() != "(":
                 raise FormulaSyntaxError(
                     "'!' applies to relational atoms only "
                     "(dependency atoms cannot be negated)", where)
@@ -682,7 +659,7 @@ class _Parser:
                     f"dependency {name} has arity {arity}, got {len(args)} variables",
                     where)
             return NamedDep(name, args)
-        if tok in _BUILTIN_HEADS and self._lookahead_is("("):
+        if tok in BUILTIN_KINDS and self._lookahead_is("("):
             return self.builtin_atom()
         # term (= | !=) term, or a relational atom
         left = self._term()
@@ -707,35 +684,19 @@ class _Parser:
         return RelAtom(name, tuple(terms), positive)
 
     def builtin_atom(self) -> Formula:
-        head = self._next()
+        kind = self._next()
         self._expect("(")
-        if head == "dep":
-            lhs = self.varlist(allow_empty=True)
-            self._expect(";")
-            rhs = self.varlist()
-            self._expect(")")
-            return DepAtom(lhs, rhs)
-        if head == "const":
-            vs = self.varlist()
-            self._expect(")")
-            return ConstAtom(vs)
-        if head == "ne":
-            vs = self.varlist()
-            self._expect(")")
-            return NeAtom(vs)
         where = self._here()
-        lhs = self.varlist()
-        self._expect(";")
-        rhs = self.varlist()
+        left = self.varlist(allow_empty=kind == "dep")
+        right: tuple[str, ...] = ()
+        if kind not in UNSPLIT_KINDS:
+            self._expect(";")
+            right = self.varlist()
         self._expect(")")
-        if head == "inc":
-            if len(lhs) != len(rhs):
-                raise FormulaSyntaxError(
-                    "inc takes variable tuples of equal length", where)
-            return IncAtom(lhs, rhs)
-        if head == "ind":
-            return IndAtom(lhs, rhs)
-        return AnonAtom(lhs, rhs)
+        if kind == "inc" and len(left) != len(right):
+            raise FormulaSyntaxError(
+                "inc takes variable tuples of equal length", where)
+        return BuiltinAtom(kind, left, right)
 
     def varlist(self, allow_empty: bool = False) -> tuple[str, ...]:
         if allow_empty and self._peek() in (";", ")"):

@@ -12,8 +12,8 @@ Satisfaction rules, on a structure M and a team X:
                off-v projection a nonempty set of witness values, satisfies
                the body
   * forall v:  the full extension X[M/v] satisfies the body
-  * dependency atoms: set algebra on projections, or membership of
-               (M, X(v)) in a registered dependency class
+  * dependency atoms: membership of the projection X(v) in the atom's
+               class, builtin or registered
 
 Three interchangeable strategies compute the same boolean wherever they
 terminate within budget:
@@ -34,15 +34,17 @@ are deterministic because every enumeration runs in canonical order.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .dependencies import Dependency, Registry, dep_holds
+from .dependencies import (DOWNWARD_CLOSED_KINDS, Dependency, Registry,
+                           builtin_holds, dep_holds)
 from .errors import BudgetExceededError, DependencyLookupError, DomainError
 from .structures import Structure, Team, extend_universal, team_projection
-from .syntax import (AnonAtom, And, ConstAtom, ConstSym, DepAtom, Eq, Exists,
-                     Forall, Formula, GlobalOr, Hook, IncAtom, IndAtom,
-                     NamedDep, NeAtom, Or, RelAtom, Var, conjuncts,
-                     free_vars, validate_team_formula)
+from .syntax import (And, BuiltinAtom, ConstSym, Eq, Exists,
+                     Forall, Formula, GlobalOr, Hook, NamedDep, Or, RelAtom,
+                     Var, atom_vars, children, conjuncts, free_vars,
+                     validate_team_formula)
 from .tarski import tarski_eval
 
 STRATEGIES = ("naive", "memoized", "optimized")
@@ -50,7 +52,10 @@ STRATEGIES = ("naive", "memoized", "optimized")
 DEFAULT_BUDGET = 50_000_000
 
 _LITERALS = (RelAtom, Eq)
-_BUILTIN_ATOMS = (DepAtom, ConstAtom, IncAtom, IndAtom, AnonAtom, NeAtom)
+# Connectives and atoms under which flatness and downward closure pass
+# from the children to the node.
+_FLAT_KEEPING = frozenset({RelAtom, Eq, And, Or, Exists, Forall, Hook})
+_DC_KEEPING = frozenset({RelAtom, Eq, And, Or, GlobalOr, Exists, Forall})
 
 
 def _nonempty_subsets(items: Sequence) -> Iterable[tuple]:
@@ -85,17 +90,20 @@ class Evaluator:
         self._flat: dict[int, bool] = {}
         self._dc: dict[int, bool] = {}
         self._rowcache: dict = {}
-        self._validated: set[int] = set()
+        # free variables of each validated formula, by id
+        self._free: dict[int, frozenset[str]] = {}
         self._pins: list[Formula] = []  # keep node ids stable across calls
 
     # -- public entry --
 
     def eval(self, team: Team, phi: Formula) -> bool:
-        if id(phi) not in self._validated:
+        free = self._free.get(id(phi))
+        if free is None:
             validate_team_formula(phi)
+            free = free_vars(phi)
             self._pins.append(phi)
-            self._validated.add(id(phi))
-        loose = free_vars(phi) - set(team.vars)
+            self._free[id(phi)] = free
+        loose = free - set(team.vars)
         if loose:
             raise DomainError(f"free variables {sorted(loose)} outside the "
                               f"team domain {team.vars}")
@@ -109,11 +117,6 @@ class Evaluator:
             raise BudgetExceededError(
                 f"node budget of {self.budget} exhausted")
 
-    def _team(self, svars: tuple[str, ...], rows: Iterable[tuple]) -> Team:
-        t = Team(svars)
-        object.__setattr__(t, "rows", frozenset(rows))
-        return t
-
     # -- closure analysis --
 
     def is_flat(self, phi: Formula) -> bool:
@@ -126,15 +129,7 @@ class Evaluator:
         return got
 
     def _flat_walk(self, phi: Formula) -> bool:
-        if isinstance(phi, _LITERALS):
-            return True
-        if isinstance(phi, (And, Or)):
-            return self.is_flat(phi.left) and self.is_flat(phi.right)
-        if isinstance(phi, (Exists, Forall)):
-            return self.is_flat(phi.body)
-        if isinstance(phi, Hook):
-            return self.is_flat(phi.guard) and self.is_flat(phi.body)
-        return False
+        return type(phi) in _FLAT_KEEPING and all(map(self.is_flat, children(phi)))
 
     def is_downward_closed(self, phi: Formula) -> bool:
         """Syntactic certificate that satisfaction passes to subteams."""
@@ -145,20 +140,17 @@ class Evaluator:
         return got
 
     def _dc_walk(self, phi: Formula) -> bool:
-        if isinstance(phi, _LITERALS + (DepAtom, ConstAtom)):
-            return True
-        if isinstance(phi, NamedDep):
+        if type(phi) is BuiltinAtom:
+            return phi.kind in DOWNWARD_CLOSED_KINDS
+        if type(phi) is NamedDep:
             if self.registry is None or phi.dep_name not in self.registry:
                 return False
             return self.registry.get(phi.dep_name).downward_closed
-        if isinstance(phi, (And, Or, GlobalOr)):
-            return self.is_downward_closed(phi.left) and self.is_downward_closed(phi.right)
-        if isinstance(phi, (Exists, Forall)):
-            return self.is_downward_closed(phi.body)
-        if isinstance(phi, Hook):
+        if type(phi) is Hook:
             # Rows dropped from the team only shrink the guarded subteam.
             return self.is_downward_closed(phi.body)
-        return False
+        return (type(phi) in _DC_KEEPING
+                and all(map(self.is_downward_closed, children(phi))))
 
     # -- dispatch --
 
@@ -190,13 +182,17 @@ class Evaluator:
         if isinstance(phi, GlobalOr):
             return self._eval(team, phi.left) or self._eval(team, phi.right)
         if isinstance(phi, Hook):
-            return self._eval(self._restrict(team, phi.guard), phi.body)
+            m, guard = self.structure, phi.guard
+            kept = team.with_rows([
+                row for row in team.rows
+                if tarski_eval(m, dict(zip(team.vars, row)), guard)])
+            return self._eval(kept, phi.body)
         if isinstance(phi, Forall):
             return self._eval(extend_universal(team, phi.var, self.structure),
                               phi.body)
         if isinstance(phi, Exists):
             return self._eval_exists(team, phi)
-        if isinstance(phi, _BUILTIN_ATOMS):
+        if isinstance(phi, BuiltinAtom):
             return eval_builtin_atom(self.structure, team, phi)
         if isinstance(phi, NamedDep):
             if self.registry is None:
@@ -205,12 +201,6 @@ class Evaluator:
             dep = self.registry.get(phi.dep_name)
             return eval_dep_atom(self.structure, team, dep, phi.vars)
         raise TypeError(f"not a team formula: {phi!r}")
-
-    def _restrict(self, team: Team, guard: Formula) -> Team:
-        m = self.structure
-        keep = [row for row in team.rows
-                if tarski_eval(m, dict(zip(team.vars, row)), guard)]
-        return team.with_rows(keep)
 
     # -- single-row evaluation of flat formulas --
     #
@@ -274,8 +264,7 @@ class Evaluator:
                     extras = itertools.chain(((),), _nonempty_subsets(sat))
                 for extra in extras:
                     self._tick()
-                    if self._eval(self._team(team.vars, set(core) | set(extra)),
-                                  other):
+                    if self._eval(team.with_rows(set(core) | set(extra)), other):
                         return True
                 return False
         if (self.strategy in ("memoized", "optimized")
@@ -285,9 +274,9 @@ class Evaluator:
             for mask in range(1 << len(rows)):
                 self._tick()
                 left_rows = {rows[i] for i in range(len(rows)) if mask >> i & 1}
-                if not self._eval(self._team(team.vars, left_rows), left):
+                if not self._eval(team.with_rows(left_rows), left):
                     continue
-                if self._eval(self._team(team.vars, team.rows - left_rows), right):
+                if self._eval(team.with_rows(team.rows - left_rows), right):
                     return True
             return False
         # General covers: each row goes left, right, or to both sides.
@@ -295,8 +284,8 @@ class Evaluator:
             self._tick()
             left_rows = {r for r, a in zip(rows, assignment) if a != 1}
             right_rows = {r for r, a in zip(rows, assignment) if a != 0}
-            if (self._eval(self._team(team.vars, left_rows), left)
-                    and self._eval(self._team(team.vars, right_rows), right)):
+            if (self._eval(team.with_rows(left_rows), left)
+                    and self._eval(team.with_rows(right_rows), right)):
                 return True
         return False
 
@@ -311,13 +300,12 @@ class Evaluator:
             while isinstance(body, Exists):
                 block.append(body.var)
                 body = body.body
-        if len(block) == 1 and not use_blocks:
-            return self._exists_single(team, block[0], body)
         return self._exists_block(team, tuple(block), body)
 
-    def _witness_pool(self, block: Sequence[str],
-                      body: Formula) -> tuple[dict[str, list], frozenset[str]]:
-        """Per-variable candidate values, symmetry-reduced when sound.
+    def _witness_tuples(self, block: tuple[str, ...],
+                        body: Formula) -> list[tuple]:
+        """Candidate value tuples for a quantifier block, symmetry-reduced
+        when sound.
 
         A block variable whose every occurrence sits in an (in)equality
         against a constant symbol or another such variable never interacts
@@ -327,95 +315,93 @@ class Evaluator:
         values for those variables can be drawn from the constant elements
         plus one fresh representative per reduced variable; every witness
         family collapses onto that pool without changing any such pattern.
+        Two tuples realizing the same equality pattern over the reduced
+        positions are then interchangeable, so only the one whose fresh
+        values first appear in pool order is kept.  Values of non-reduced
+        positions are meaningful and never canonicalized.
         """
         domain = list(self.structure.domain)
-        pools = {v: domain for v in block}
-        if not self.symmetry:
-            return pools, frozenset()
-        reduced = _equality_guarded_vars(block, body)
-        if reduced:
-            consts = sorted(set(self.structure.constants.values()))
-            fresh = [e for e in domain if e not in set(consts)][:len(reduced)]
-            pool = consts + fresh
-            for v in reduced:
-                pools[v] = pool
-        return pools, reduced
-
-    def _exists_single(self, team: Team, var: str, body: Formula) -> bool:
-        # Teams agreeing with X off v are exactly those assigning every
-        # off-v projection of X a nonempty set of witness values: both have
-        # the same off-v projection, and the rows of such a Y are
-        # determined by the value sets it realizes on each projection row.
-        # Assignments differing only on v merge before re-extension.
-        keep = tuple(v for v in team.vars if v != var)
-        keep_idx = [team.vars.index(v) for v in keep]
-        keys = sorted({tuple(row[i] for i in keep_idx) for row in team.rows})
-        nvars, at = _insert_var(keep, var)
-        if not keys:
-            return self._eval(self._team(nvars, ()), body)
-        choices = list(_nonempty_subsets(self.structure.domain))
-        for family in itertools.product(choices, repeat=len(keys)):
-            self._tick()
-            rows = {key[:at] + (m,) + key[at:]
-                    for key, chosen in zip(keys, family) for m in chosen}
-            if self._eval(self._team(nvars, rows), body):
-                return True
-        return False
+        reduced = (_equality_guarded_vars(block, body) if self.symmetry
+                   else frozenset())
+        if not reduced:
+            return list(itertools.product(domain, repeat=len(block)))
+        const_elems = set(self.structure.constants.values())
+        fresh = [e for e in domain if e not in const_elems][:len(reduced)]
+        pool = sorted(const_elems) + fresh
+        out = []
+        for t in itertools.product(*(pool if v in reduced else domain
+                                     for v in block)):
+            firsts: list = []
+            for v, value in zip(block, t):
+                if v in reduced and value not in const_elems and value not in firsts:
+                    firsts.append(value)
+            if firsts == fresh[:len(firsts)]:
+                out.append(t)
+        return out
 
     def _exists_block(self, team: Team, block: tuple[str, ...], body: Formula) -> bool:
-        keep = tuple(v for v in team.vars if v not in set(block))
+        # Teams agreeing with X off the block are exactly those assigning
+        # every off-block projection row of X a nonempty set of witness
+        # tuples: both have the same off-block projection, and the rows of
+        # such a Y are determined by the tuples it realizes on each
+        # projection row.  Rows differing only on the block merge first.
+        keep = tuple(v for v in team.vars if v not in block)
         keep_idx = [team.vars.index(v) for v in keep]
         keys = sorted({tuple(row[i] for i in keep_idx) for row in team.rows})
         nvars = tuple(sorted(set(keep) | set(block)))
-        build = _row_builder(keep, block, nvars)
-        pools, reduced = self._witness_pool(block, body)
-        tuples = _candidate_tuples(block, pools, reduced,
-                                   set(self.structure.constants.values()))
+        empty = Team(nvars)
         if not keys:
-            return self._eval(self._team(nvars, ()), body)
-        parts = conjuncts(body) if self.strategy == "optimized" else [body]
-        flat_parts = [p for p in parts if self.is_flat(p)]
-        rest = [p for p in parts if not self.is_flat(p)]
-        if self.strategy == "optimized" and flat_parts:
-            allowed = []
-            for key in keys:
-                ok = [t for t in tuples
-                      if all(self._singleton(nvars, build(key, t), p)
-                             for p in flat_parts)]
-                if not ok:
-                    return False
-                allowed.append(ok)
-        else:
-            allowed = [list(tuples) for _ in keys]
-            rest = parts
-        if not rest:
-            return True  # pick any witness tuple per projection row
-        prunable = [p for p in rest if self.is_downward_closed(p)] \
-            if self.strategy == "optimized" else []
-        # Most-constrained projection rows first; pruning bites earlier.
-        order = sorted(range(len(keys)), key=lambda i: (len(allowed[i]), keys[i]))
-        chosen_rows: list[set] = [set() for _ in keys]
+            return self._eval(empty, body)
+        build = _row_builder(keep, block, nvars)
+        tuples = self._witness_tuples(block, body)
+        allowed = [tuples] * len(keys)
+        order: Sequence[int] = range(len(keys))
+        rest, prunable = [body], []
+        if self.strategy == "optimized":
+            parts = conjuncts(body)
+            flat_parts = [p for p in parts if self.is_flat(p)]
+            rest = [p for p in parts if not self.is_flat(p)]
+            if flat_parts:
+                allowed = []
+                for key in keys:
+                    ok = [t for t in tuples
+                          if all(self._singleton(nvars, build(key, t), p)
+                                 for p in flat_parts)]
+                    if not ok:
+                        return False
+                    allowed.append(ok)
+                # Most-constrained projection rows first; pruning bites
+                # earlier.  The sort is stable and keys are sorted.
+                order = sorted(order, key=lambda i: len(allowed[i]))
+            if not rest:
+                return True  # pick any witness tuple per projection row
+            prunable = [p for p in rest if self.is_downward_closed(p)]
 
-        def search(depth: int) -> bool:
-            if depth == len(keys):
-                final = self._team(nvars, set().union(*chosen_rows) if keys else set())
-                return all(self._eval(final, p) for p in rest)
-            i = order[depth]
-            for subset in _nonempty_subsets(allowed[i]):
+        # Depth-first over the witness families, one level per projection
+        # row, on an explicit stack of open subset iterators: a team's row
+        # count must not meet the interpreter's recursion limit.
+        picked: list = [None] * len(keys)  # the rows chosen at each level
+        stack = [_nonempty_subsets(allowed[order[0]])]
+        while stack:
+            depth = len(stack) - 1
+            key = keys[order[depth]]
+            for subset in stack[-1]:
                 self._tick()
-                chosen_rows[i] = {build(keys[i], t) for t in subset}
+                picked[depth] = [build(key, t) for t in subset]
                 if prunable:
-                    partial = self._team(
-                        nvars, set().union(*(chosen_rows[order[d]]
-                                             for d in range(depth + 1))))
+                    partial = empty.with_rows(
+                        itertools.chain.from_iterable(picked[:depth + 1]))
                     if not all(self._eval(partial, p) for p in prunable):
                         continue
-                if search(depth + 1):
+                if depth + 1 < len(keys):
+                    stack.append(_nonempty_subsets(allowed[order[depth + 1]]))
+                    break
+                final = empty.with_rows(itertools.chain.from_iterable(picked))
+                if all(self._eval(final, p) for p in rest):
                     return True
-            chosen_rows[i] = set()
-            return False
-
-        return search(0)
+            else:
+                stack.pop()
+        return False
 
 
 def _insert_var(svars: tuple[str, ...], var: str) -> tuple[tuple[str, ...], int]:
@@ -428,17 +414,13 @@ def _insert_var(svars: tuple[str, ...], var: str) -> tuple[tuple[str, ...], int]
 
 def _row_builder(keep: tuple[str, ...], block: tuple[str, ...],
                  nvars: tuple[str, ...]):
-    source = {}
-    for i, v in enumerate(keep):
-        source[v] = ("k", i)
-    for i, v in enumerate(block):
-        source[v] = ("b", i)  # later binding wins for repeated names
-    plan = [source[v] for v in nvars]
-
-    def build(key: tuple, values: tuple) -> tuple:
-        return tuple(key[i] if kind == "k" else values[i] for kind, i in plan)
-
-    return build
+    """Maps an off-block key and a witness tuple to the row over nvars."""
+    # later binding wins for repeated names
+    source = {v: i for i, v in enumerate(keep + block)}
+    pick = itemgetter(*(source[v] for v in nvars))
+    if len(nvars) == 1:  # itemgetter of one index returns a bare value
+        return lambda key, values: (pick(key + values),)
+    return lambda key, values: pick(key + values)
 
 
 def _equality_guarded_vars(block: Sequence[str], body: Formula) -> frozenset[str]:
@@ -461,19 +443,14 @@ def _equality_guarded_vars(block: Sequence[str], body: Formula) -> frozenset[str
                     if name in shadowed or name not in good:
                         bad.update(mine)  # ties a reduced var to an outsider
             return bad
-        if isinstance(phi, RelAtom):
-            return {t.name for t in phi.terms
-                    if isinstance(t, Var) and t.name not in shadowed and t.name in good}
-        if isinstance(phi, (DepAtom, ConstAtom, IncAtom, IndAtom, AnonAtom,
-                            NeAtom, NamedDep)):
-            return {v for v in free_vars(phi) if v not in shadowed and v in good}
-        if isinstance(phi, (And, Or, GlobalOr)):
-            return offending(phi.left, shadowed) | offending(phi.right, shadowed)
-        if isinstance(phi, Hook):
-            return offending(phi.guard, shadowed) | offending(phi.body, shadowed)
         if isinstance(phi, (Exists, Forall)):
             return offending(phi.body, shadowed | {phi.var})
-        return set()
+        kids = children(phi)
+        if not kids:  # a relational or dependency atom
+            return (atom_vars(phi) & good) - shadowed
+        for kid in kids:
+            bad |= offending(kid, shadowed)
+        return bad
 
     while True:
         bad = offending(body, frozenset())
@@ -484,65 +461,13 @@ def _equality_guarded_vars(block: Sequence[str], body: Formula) -> frozenset[str
             return frozenset()
 
 
-def _candidate_tuples(block: tuple[str, ...], pools: dict[str, list],
-                      reduced: frozenset[str], const_elems: set) -> list[tuple]:
-    """Value tuples for a quantifier block.
+# --- Atom semantics ---
 
-    Fresh representative values of reduced variables must make their first
-    appearance in pool order within each tuple: two tuples realizing the
-    same equality pattern over the reduced positions are interchangeable,
-    so only the pattern-canonical one is kept.  Values of non-reduced
-    positions are meaningful and never canonicalized.
-    """
-    fresh_order: list = []
-    for v in block:
-        if v in reduced:
-            fresh_order = [x for x in pools[v] if x not in const_elems]
-            break
-    out = []
-    for t in itertools.product(*(pools[v] for v in block)):
-        firsts: list = []
-        for v, value in zip(block, t):
-            if v in reduced and value not in const_elems and value not in firsts:
-                firsts.append(value)
-        if firsts == fresh_order[:len(firsts)]:
-            out.append(t)
-    return out
-
-
-# --- Builtin atom semantics (exact set algebra on projections) ---
-
-def eval_builtin_atom(structure: Structure, team: Team, atom: Formula) -> bool:
-    if isinstance(atom, DepAtom):
-        det = [team.index_of(v) for v in atom.determinants]
-        dep = [team.index_of(v) for v in atom.dependents]
-        seen: dict[tuple, tuple] = {}
-        for row in team.rows:
-            key = tuple(row[i] for i in det)
-            val = tuple(row[i] for i in dep)
-            if seen.setdefault(key, val) != val:
-                return False
-        return True
-    if isinstance(atom, ConstAtom):
-        return len(team_projection(team, atom.vars)) <= 1
-    if isinstance(atom, IncAtom):
-        return team_projection(team, atom.left) <= team_projection(team, atom.right)
-    if isinstance(atom, IndAtom):
-        left = team_projection(team, atom.left)
-        right = team_projection(team, atom.right)
-        return team_projection(team, atom.left + atom.right) == \
-            {a + b for a in left for b in right}
-    if isinstance(atom, AnonAtom):
-        groups: dict[tuple, set] = {}
-        li = [team.index_of(v) for v in atom.left]
-        ri = [team.index_of(v) for v in atom.right]
-        for row in team.rows:
-            groups.setdefault(tuple(row[i] for i in li), set()).add(
-                tuple(row[i] for i in ri))
-        return all(len(vals) >= 2 for vals in groups.values())
-    if isinstance(atom, NeAtom):
-        return len(team_projection(team, atom.vars)) > 0
-    raise TypeError(f"not a builtin atom: {atom!r}")
+def eval_builtin_atom(structure: Structure, team: Team, atom: BuiltinAtom) -> bool:
+    """The atom's class, builtin_holds, applied to the team's projection
+    onto its variables."""
+    return builtin_holds(atom.kind, len(atom.left),
+                         team_projection(team, atom.left + atom.right))
 
 
 def eval_dep_atom(structure: Structure, team: Team, dep: Dependency,

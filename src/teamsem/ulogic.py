@@ -17,10 +17,9 @@ from .dependencies import Verdict
 from .errors import DomainError, ValidationError
 from .structures import RelStructure, identity_type_of
 from . import syntax
-from .syntax import (And, AnonAtom, ConstAtom, DepAtom, Eq, Exists,
-                     Forall, Formula, GlobalOr, Hook, IncAtom, IndAtom,
-                     NamedDep, NeAtom, Not, Implies, Or, RelAtom, USentence,
-                     Var, all_var_names, conj, to_nnf)
+from .syntax import (And, BuiltinAtom, Eq, Exists, Forall, Formula,
+                     GlobalOr, NamedDep, Or, RelAtom, USentence, Var,
+                     all_var_names, children, conj, rebuild, to_nnf)
 
 
 # --- Fresh names and capture-avoiding substitution ---
@@ -49,23 +48,26 @@ def substitute_vars(phi: Formula, mapping: dict[str, syntax.Term],
                 return got
         return t
 
+    def dep_vars(names, env):
+        out = []
+        for name in names:
+            got = env.get(name, Var(name))
+            if not isinstance(got, Var):
+                raise ValidationError(
+                    f"cannot substitute the constant {got.name!r} into a "
+                    f"dependency atom's variable tuple")
+            out.append(got.name)
+        return tuple(out)
+
     def walk(f: Formula, env: dict) -> Formula:
         if isinstance(f, RelAtom):
             return RelAtom(f.name, tuple(term(t, env) for t in f.terms), f.positive)
         if isinstance(f, Eq):
             return Eq(term(f.left, env), term(f.right, env), f.positive)
-        if isinstance(f, Not):
-            return Not(walk(f.body, env))
-        if isinstance(f, Implies):
-            return Implies(walk(f.left, env), walk(f.right, env))
-        if isinstance(f, And):
-            return And(walk(f.left, env), walk(f.right, env))
-        if isinstance(f, Or):
-            return Or(walk(f.left, env), walk(f.right, env))
-        if isinstance(f, GlobalOr):
-            return GlobalOr(walk(f.left, env), walk(f.right, env))
-        if isinstance(f, Hook):
-            return Hook(walk(f.guard, env), walk(f.body, env))
+        if isinstance(f, BuiltinAtom):
+            return BuiltinAtom(f.kind, dep_vars(f.left, env), dep_vars(f.right, env))
+        if isinstance(f, NamedDep):
+            return NamedDep(f.dep_name, dep_vars(f.vars, env))
         if isinstance(f, (Exists, Forall)):
             env = dict(env)
             env.pop(f.var, None)
@@ -75,31 +77,8 @@ def substitute_vars(phi: Formula, mapping: dict[str, syntax.Term],
                 nonlocal_used = set(avoid) | targets | set(env)
                 binder = _fresh(f.var, nonlocal_used)
                 env[f.var] = Var(binder)
-            body = walk(f.body, env)
-            return type(f)(binder, body)
-        if isinstance(f, (DepAtom, ConstAtom, IncAtom, IndAtom, AnonAtom,
-                          NeAtom, NamedDep)):
-            def v(name):
-                got = env.get(name)
-                if got is None:
-                    return name
-                if not isinstance(got, Var):
-                    raise ValidationError(
-                        f"cannot substitute the constant {got.name!r} into a "
-                        f"dependency atom's variable tuple")
-                return got.name
-            if isinstance(f, DepAtom):
-                return DepAtom(tuple(v(x) for x in f.determinants),
-                               tuple(v(x) for x in f.dependents))
-            if isinstance(f, ConstAtom):
-                return ConstAtom(tuple(v(x) for x in f.vars))
-            if isinstance(f, NeAtom):
-                return NeAtom(tuple(v(x) for x in f.vars))
-            if isinstance(f, NamedDep):
-                return NamedDep(f.dep_name, tuple(v(x) for x in f.vars))
-            return type(f)(tuple(v(x) for x in f.left),
-                           tuple(v(x) for x in f.right))
-        raise TypeError(f"not a formula: {f!r}")
+            return type(f)(binder, walk(f.body, env))
+        return rebuild(f, [walk(k, env) for k in children(f)])
 
     return walk(phi, {k: v for k, v in mapping.items()})
 
@@ -166,13 +145,13 @@ def usentence_translate(sentence: USentence) -> Formula:
     ys = sentence.forall_vars
     parts: list[Formula] = []
     if sentence.exists_vars:
-        parts.append(ConstAtom(sentence.exists_vars))
+        parts.append(BuiltinAtom("const", sentence.exists_vars))
     for lit in sentence.eta:
         if isinstance(lit, RelAtom):
             zs = tuple(t.name for t in lit.terms)
             left = conj([Eq(Var(z), Var(z)) for z in zs])
             right = conj([Eq(Var(z), Var(y)) for z, y in zip(zs, ys)])
-            parts.append(Or(left, And(NeAtom(zs), right)))
+            parts.append(Or(left, And(BuiltinAtom("ne", zs), right)))
         else:
             parts.append(lit)
     parts.append(to_nnf(sentence.theta))
@@ -252,13 +231,7 @@ def inline_dependency(host: Formula, dep_name: str, translation: Formula,
                     f"translation has {len(params)} parameters")
             mapping = {p: Var(w) for p, w in zip(params, f.vars)}
             return substitute_vars(translation, mapping, avoid=host_names)
-        if isinstance(f, (And, Or, GlobalOr)):
-            return type(f)(walk(f.left), walk(f.right))
-        if isinstance(f, Hook):
-            return Hook(f.guard, walk(f.body))
-        if isinstance(f, (Exists, Forall)):
-            return type(f)(f.var, walk(f.body))
-        return f
+        return rebuild(f, [walk(k) for k in children(f)])
 
     return walk(host)
 

@@ -81,6 +81,14 @@ class TestEvalCommand:
         assert code == 3
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_recursion_depth_exit_four(self, files, capsys):
+        # Exit status 1 would read as "false".
+        code = run_command(["eval", "-s", files["structure"],
+                            "-t", files["functional_team"],
+                            "-f", " & ".join(["x=x"] * 3000)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_json_payload(self, files, capsys):
         code = run_command(["eval", "-s", files["structure"],
                             "-t", files["functional_team"], "-f", "dep(x;y)",

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 from teamsem.dependencies import Registry, functional_dependency
 from teamsem.errors import FormulaSyntaxError, ValidationError
 from teamsem.structures import Structure, enumerate_relations
-from teamsem.syntax import (And, ConstSym, DepAtom, Eq, Exists, Forall,
+from teamsem.syntax import (And, BuiltinAtom, ConstSym, Eq, Exists, Forall,
                             GlobalOr, Hook, Implies, NamedDep,
-                            NeAtom, Not, Or, RelAtom, Var, free_vars,
+                            Not, Or, RelAtom, Var, free_vars,
                             hook_desugared, parse_formula, parse_fo_sentence,
                             to_nnf, to_text, validate_ded,
                             validate_team_formula, validate_usentence)
@@ -17,7 +17,7 @@ from teamsem.tarski import tarski_eval
 
 class TestParser:
     def test_functional_dependence_atom(self):
-        assert parse_formula("dep(x;y)") == DepAtom(("x",), ("y",))
+        assert parse_formula("dep(x;y)") == BuiltinAtom("dep", ("x",), ("y",))
 
     def test_quantified_tree_with_hook(self):
         phi = parse_formula("exists x. (R(x) & forall y. (R(y) ->> y=x))")
@@ -31,7 +31,17 @@ class TestParser:
             parse_formula("!dep(x;y)")
 
     def test_constancy_shorthand(self):
-        assert parse_formula("dep(;w)") == DepAtom((), ("w",))
+        assert parse_formula("dep(;w)") == BuiltinAtom("dep", (), ("w",))
+
+    def test_builtin_atom_rejects_shapes_the_parser_rejects(self):
+        for kind, left, right in [("foo", ("x",), ("y",)),
+                                  ("const", ("x",), ("y",)),
+                                  ("ne", (), ()),
+                                  ("dep", ("x",), ()),
+                                  ("ind", (), ("y",)),
+                                  ("inc", ("x", "y"), ("z",))]:
+            with pytest.raises(ValidationError):
+                BuiltinAtom(kind, left, right)
 
     def test_error_carries_position(self):
         with pytest.raises(FormulaSyntaxError) as err:
@@ -78,8 +88,12 @@ def _ast_strategy():
         st.builds(Eq, terms, terms, st.booleans()),
         st.builds(lambda ts, pos: RelAtom("E", tuple(ts), pos),
                   st.lists(terms, min_size=2, max_size=2), st.booleans()),
-        st.builds(lambda v, w: DepAtom((v,), (w,)), variables, variables),
-        st.builds(lambda v: NeAtom((v,)), variables),
+        st.builds(lambda kind, v, w: BuiltinAtom(kind, (v,), (w,)),
+                  st.sampled_from(["dep", "inc", "ind", "anon"]),
+                  variables, variables),
+        st.builds(lambda kind, v: BuiltinAtom(kind, (v,)),
+                  st.sampled_from(["const", "ne"]), variables),
+        st.builds(lambda w: BuiltinAtom("dep", (), (w,)), variables),
     )
 
     def extend(children):
@@ -126,7 +140,7 @@ class TestNnf:
 
     def test_negation_over_dependency_atom_rejected(self):
         with pytest.raises(TypeError):
-            to_nnf(Not(DepAtom(("x",), ("y",))))
+            to_nnf(Not(BuiltinAtom("dep", ("x",), ("y",))))
 
     def test_result_is_team_valid(self):
         phi = Not(Implies(RelAtom("E", (Var("x"), Var("y"))),

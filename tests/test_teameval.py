@@ -233,6 +233,15 @@ class TestExistsRule:
         phi = parse_formula("exists x. const(x)")
         assert team_eval(structure, team, phi)
 
+    def test_many_projection_rows(self):
+        # One search level per off-block projection row: 1,000 of them
+        # must not meet the interpreter's recursion limit.
+        structure = Structure([f"e{i}" for i in range(10)])
+        team = full_team(("x", "y", "z"), structure)
+        phi = parse_formula("exists u. dep(x,y,z;u)")
+        for strategy in ("naive", "memoized", "optimized"):
+            assert team_eval(structure, team, phi, strategy)
+
 
 class TestStrategyAgreement:
     def test_three_strategies_agree(self):
@@ -242,13 +251,26 @@ class TestStrategyAgreement:
             "exists u. exists v. (u=v & ne(u))",
             "exists u. (u=x | u!=y)",
             "exists u. exists v. ((u=v ->> ne(x)) & dep(x;u))",
+            "const(x) | inc(y;x)",
+            "exists u. (ind(x;u) & anon(y;u))",
+            "dep(;y) <|> anon(x;y)",
+            "forall x. exists x. (E(x,y) | inc(x;y))",
+            "exists u. (dep(;u) & inc(u;x))",
+            "E(x,y) ->> const(y) | ne(x)",
+            "exists u. (u!=u | ne(x))",
         ]
         formulas = CORPUS + [parse_formula(t) for t in extra]
+        # memoized with symmetry reduction draws the witnesses of an
+        # equality-guarded variable from a reduced pool
+        settings = [("naive", None), ("memoized", None), ("optimized", None),
+                    ("memoized", True)]
         for team in enumerate_teams(structure.domain, ("x", "y")):
             for phi in formulas:
                 verdicts = {
-                    strategy: team_eval(structure, team, phi, strategy)
-                    for strategy in ("naive", "memoized", "optimized")
+                    (strategy, symmetry): team_eval(
+                        structure, team, phi, strategy,
+                        symmetry_reduction=symmetry)
+                    for strategy, symmetry in settings
                 }
                 assert len(set(verdicts.values())) == 1, \
                     f"{to_text(phi)} on {sorted(team.rows)}: {verdicts}"
