@@ -2,7 +2,9 @@
 
 Exit codes: 0 true/pass, 1 false/counterexample found, 2 usage or
 validation error, 3 node budget exceeded, 4 out of memory or recursion
-depth.  All diagnostics go to standard error with an ``error:`` prefix.
+depth, or an unexpected internal error (its traceback follows the
+``error:`` line).  All diagnostics go to standard error with an ``error:``
+prefix.
 ``--format json`` switches the payload on standard output to a stable JSON
 document.
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from typing import Sequence
 
 from . import formats
@@ -293,6 +296,12 @@ def run_command(argv: Sequence[str]) -> int:
             DependencyLookupError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # Any other failure is a fault, not a verdict: status 1 means "false".
+        print(f"error: internal error ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 def main() -> None:

@@ -26,15 +26,44 @@ def _expect(cond: bool, message: str):
         raise ValidationError(message)
 
 
+def _is_tokens(value: Any) -> bool:
+    """A JSON list of strings: variable names or element tokens."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _token_lists(value: Any, what: str) -> list[tuple[str, ...]]:
+    _expect(isinstance(value, list) and all(map(_is_tokens, value)),
+            f"{what} must be a list of element-token lists")
+    return [tuple(t) for t in value]
+
+
+def _field(data: dict, name: str, kind: type, default):
+    """data[name], or the default when it is missing or null."""
+    value = data.get(name)
+    if value is None:
+        return default
+    _expect(isinstance(value, kind), f"{name!r} must be a JSON {kind.__name__}")
+    return value
+
+
 def structure_from_dict(data: dict) -> Structure:
     _expect(isinstance(data, dict), "structure file must hold a JSON object")
     _expect("domain" in data, "structure needs a 'domain' list")
+    _expect(_is_tokens(data["domain"]),
+            "structure 'domain' must be a list of element tokens")
+    constants = _field(data, "constants", dict, {})
+    _expect(all(isinstance(v, str) for v in constants.values()),
+            "constants must map to element tokens")
     relations = {}
-    for name, rel in (data.get("relations") or {}).items():
+    for name, rel in _field(data, "relations", dict, {}).items():
         _expect(isinstance(rel, dict) and "arity" in rel and "tuples" in rel,
                 f"relation {name!r} needs 'arity' and 'tuples'")
-        relations[name] = (rel["arity"], [tuple(t) for t in rel["tuples"]])
-    return Structure(data["domain"], data.get("constants") or {}, relations)
+        arity = rel["arity"]
+        _expect(isinstance(arity, int) and not isinstance(arity, bool),
+                f"relation {name!r} needs an integer 'arity'")
+        relations[name] = (arity, _token_lists(rel["tuples"],
+                                               f"relation {name!r} 'tuples'"))
+    return Structure(data["domain"], constants, relations)
 
 
 def structure_to_dict(structure: Structure) -> dict:
@@ -52,7 +81,9 @@ def structure_to_dict(structure: Structure) -> dict:
 def team_from_dict(data: dict) -> Team:
     _expect(isinstance(data, dict), "team file must hold a JSON object")
     _expect("vars" in data, "team needs a 'vars' list")
-    return Team(data["vars"], [tuple(r) for r in data.get("rows") or []])
+    _expect(_is_tokens(data["vars"]), "team 'vars' must be a list of names")
+    rows = _token_lists(_field(data, "rows", list, []), "team 'rows'")
+    return Team(data["vars"], rows)
 
 
 def team_to_dict(team: Team) -> dict:

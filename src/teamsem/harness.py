@@ -18,9 +18,9 @@ from .errors import DomainError, ValidationError
 from .structures import (Element, RelStructure, Structure, Team,
                          enumerate_relations)
 from . import syntax
-from .syntax import (And, ConstSym, Eq, Exists, Forall, Formula, Hook,
-                     NamedDep, Or, RelAtom, USentence, Var, conj, free_vars,
-                     relation_symbols, to_text)
+from .syntax import (And, BuiltinAtom, ConstSym, Eq, Exists, Forall,
+                     Formula, GlobalOr, Hook, NamedDep, Or, RelAtom, USentence,
+                     Var, conj, free_vars, relation_symbols, to_text)
 from .tarski import tarski_sentence
 from .teameval import team_eval
 
@@ -145,6 +145,79 @@ def hook_formula_corpus(count: int = 100, seed: int = 911,
     base = fo_formula_corpus(2 * count, depth=2, seed=seed, variables=variables,
                              rel_name=rel_name, include_hooks=False)
     return [Hook(g, b) for g, b in zip(base[:count], base[count:2 * count])]
+
+
+def guarded_forall_corpus(count: int = 40, seed: int = 16) -> list[Formula]:
+    """Deterministic pseudo-random `forall v. (g ->> psi)` formulas, distinct
+    modulo printing, with free variables among x, y.
+
+    The signature is a binary E, a ternary T and the constant c.  The block
+    has one or two variables and may shadow x.  The guard g is a DNF of
+    literals, now and then with a quantified conjunct; most disjuncts carry
+    a positive atom naming the whole block, the shape guarded-forall fusion
+    reads, and the others exercise its fallback.  The body psi is a
+    conjunction of builtin dependency atoms over the block and x, y.
+    """
+    rng = random.Random(seed)
+    relations = (("E", 2), ("T", 3))
+
+    def term(scope: list[str]):
+        return ConstSym("c") if rng.random() < 0.15 else Var(rng.choice(scope))
+
+    def naming_atom(block: list[str], scope: list[str]) -> Formula:
+        name, arity = rng.choice(relations)
+        terms = [term(scope) for _ in range(arity)]
+        for v, i in zip(block, rng.sample(range(arity), len(block))):
+            terms[i] = Var(v)
+        return RelAtom(name, tuple(terms))
+
+    def literal(scope: list[str]) -> Formula:
+        kind = rng.randrange(5)
+        if kind < 2:
+            name, arity = rng.choice(relations)
+            return RelAtom(name, tuple(term(scope) for _ in range(arity)),
+                           positive=kind == 0)
+        if kind < 4:
+            return Eq(term(scope), term(scope), positive=kind == 2)
+        return Exists("q", RelAtom("E", (Var(rng.choice(scope)), Var("q"))))
+
+    def guard(block: list[str], scope: list[str]) -> Formula:
+        out = None
+        for _ in range(rng.randint(1, 2)):
+            parts = [literal(scope) for _ in range(rng.randint(0, 2))]
+            if rng.random() < 0.85 or not parts:
+                parts.insert(rng.randint(0, len(parts)),
+                             naming_atom(block, scope))
+            d = conj(parts)
+            if out is None:
+                out = d
+            else:
+                out = (GlobalOr if rng.random() < 0.25 else Or)(out, d)
+        return out
+
+    def atom(scope: list[str]) -> Formula:
+        kind = rng.choice(("dep", "const", "ne", "inc", "ind", "anon"))
+        a, b = rng.choice(scope), rng.choice(scope)
+        if kind in ("const", "ne"):
+            return BuiltinAtom(kind, (a,))
+        if kind == "dep" and rng.random() < 0.3:
+            return BuiltinAtom("dep", (), (b,))
+        return BuiltinAtom(kind, (a,), (b,))
+
+    seen: dict[str, Formula] = {}
+    guard_count = 0
+    while len(seen) < count:
+        guard_count += 1
+        if guard_count > 100 * count:
+            raise RuntimeError("formula generator stalled")
+        block = rng.sample(["u", "w", "x"], rng.randint(1, 2))
+        scope = sorted(set(block) | {"x", "y"})
+        body: Formula = Hook(guard(block, scope),
+                             conj([atom(scope) for _ in range(rng.randint(1, 2))]))
+        for v in reversed(block):
+            body = Forall(v, body)
+        seen.setdefault(to_text(body), body)
+    return [seen[k] for k in sorted(seen)]
 
 
 # --- Indexed chains ---

@@ -25,7 +25,19 @@ terminate within budget:
                are syntactically downward closed
   * optimized: adds flat-formula fast paths, joint handling of consecutive
                existentials, equality-guard symmetry reduction for witness
-               values, and search pruning through downward-closed conjuncts
+               values, search pruning through downward-closed conjuncts, and
+               guarded-forall fusion (below)
+
+Guarded-forall fusion.  For `forall v1 ... vk. (g ->> psi)` with distinct
+vi, where every top-level disjunct of g has a top-level conjunct that is a
+positive relational atom naming each vi as a variable, optimized builds
+the guarded subteam directly: each row s looks up its candidate tuples a
+in an index of that atom's relation, keyed on the atom's positions outside
+the block, and s[a/v] is kept when g holds on it.  Exact: a row satisfying
+g satisfies some disjunct, whose atom then holds, so its a is a candidate;
+every candidate is filtered by the whole of g, so the team is
+restrict(X[M/v], g).  Without such atoms, or when the structure does not
+interpret every symbol of g, the literal extend-and-filter rules run.
 
 Evaluation of independent branch obligations is sequential here; verdicts
 are deterministic because every enumeration runs in canonical order.
@@ -43,8 +55,8 @@ from .errors import BudgetExceededError, DependencyLookupError, DomainError
 from .structures import Structure, Team, extend_universal, team_projection
 from .syntax import (And, BuiltinAtom, ConstSym, Eq, Exists,
                      Forall, Formula, GlobalOr, Hook, NamedDep, Or, RelAtom,
-                     Var, atom_vars, children, conjuncts, free_vars,
-                     validate_team_formula)
+                     Var, atom_vars, children, conjuncts, constant_symbols,
+                     free_vars, subformulas, validate_team_formula)
 from .tarski import tarski_eval
 
 STRATEGIES = ("naive", "memoized", "optimized")
@@ -89,6 +101,9 @@ class Evaluator:
         self._memo: dict = {}
         self._flat: dict[int, bool] = {}
         self._dc: dict[int, bool] = {}
+        # guarded-forall fusion plan of each Forall node, by id; None where
+        # the rule does not apply
+        self._fuse: dict[int, tuple | None] = {}
         self._rowcache: dict = {}
         # free variables of each validated formula, by id
         self._free: dict[int, frozenset[str]] = {}
@@ -188,8 +203,13 @@ class Evaluator:
                 if tarski_eval(m, dict(zip(team.vars, row)), guard)])
             return self._eval(kept, phi.body)
         if isinstance(phi, Forall):
-            return self._eval(extend_universal(team, phi.var, self.structure),
-                              phi.body)
+            plan = self._fusion_plan(phi) if self.strategy == "optimized" else None
+            if plan is None:
+                return self._eval(extend_universal(team, phi.var, self.structure),
+                                  phi.body)
+            block, guard, body, lookups = plan
+            return self._eval(self._guarded_team(team, block, guard, lookups),
+                              body)
         if isinstance(phi, Exists):
             return self._eval_exists(team, phi)
         if isinstance(phi, BuiltinAtom):
@@ -242,6 +262,49 @@ class Evaluator:
                 return any(self._singleton(nvars, r, phi.body) for r in rows)
             return all(self._singleton(nvars, r, phi.body) for r in rows)
         raise TypeError(f"not a flat formula: {phi!r}")
+
+    # -- guarded-forall fusion --
+
+    def _fusion_plan(self, phi: Forall) -> tuple | None:
+        """(block, guard, body, lookups) for a fusable guarded block, one
+        lookup per disjunct of the guard; built on first use."""
+        if id(phi) in self._fuse:
+            return self._fuse[id(phi)]
+        block: list[str] = []
+        node: Formula = phi
+        while type(node) is Forall and node.var not in block:
+            block.append(node.var)
+            node = node.body
+        plan = None
+        if type(node) is Hook and _interprets(self.structure, node.guard):
+            lookups = []
+            for disjunct in _guard_disjuncts(node.guard):
+                atom = next((a for a in conjuncts(disjunct)
+                             if _names_block(a, block)), None)
+                if atom is None:
+                    break
+                lookups.append(_relation_lookup(self.structure, atom, block))
+            else:
+                plan = (tuple(block), node.guard, node.body, lookups)
+        self._fuse[id(phi)] = plan
+        return plan
+
+    def _guarded_team(self, team: Team, block: tuple[str, ...],
+                      guard: Formula, lookups: list) -> Team:
+        """restrict(X[M/block], guard), from the candidates the lookups
+        give each row instead of all |D|^k extensions."""
+        nvars = tuple(sorted(set(team.vars) | set(block)))
+        build = _row_builder(team.vars, block, nvars)
+        keyed = [(index, [team.vars.index(v) for v in outer])
+                 for index, outer in lookups]
+        candidates = set()
+        for row in team.rows:
+            for index, at in keyed:
+                for values in index.get(tuple([row[i] for i in at]), ()):
+                    candidates.add(build(row, values))
+        m = self.structure
+        return Team(nvars).with_rows(
+            r for r in candidates if tarski_eval(m, dict(zip(nvars, r)), guard))
 
     # -- lax disjunction --
 
@@ -421,6 +484,56 @@ def _row_builder(keep: tuple[str, ...], block: tuple[str, ...],
     if len(nvars) == 1:  # itemgetter of one index returns a bare value
         return lambda key, values: (pick(key + values),)
     return lambda key, values: pick(key + values)
+
+
+def _guard_disjuncts(guard: Formula) -> list[Formula]:
+    """Top-level disjuncts, reading Or and GlobalOr alike as Tarski does."""
+    if type(guard) in (Or, GlobalOr):
+        return _guard_disjuncts(guard.left) + _guard_disjuncts(guard.right)
+    return [guard]
+
+
+def _names_block(atom: Formula, block: Sequence[str]) -> bool:
+    """A positive relational atom with every block variable among its terms."""
+    return (type(atom) is RelAtom and atom.positive
+            and set(block) <= {t.name for t in atom.terms if type(t) is Var})
+
+
+def _interprets(structure: Structure, phi: Formula) -> bool:
+    """Every constant and relation symbol of phi is interpreted, each
+    relation at the arity phi applies it with."""
+    rels = structure.relations
+    return (constant_symbols(phi) <= structure.constants.keys()
+            and all(f.name in rels and rels[f.name].arity == len(f.terms)
+                    for f in subformulas(phi) if type(f) is RelAtom))
+
+
+def _relation_lookup(structure: Structure, atom: RelAtom,
+                     block: Sequence[str]) -> tuple[dict, list[str]]:
+    """(index, outer variables) for a relational atom over a block.
+
+    The index maps the values at the atom's outer-variable positions to the
+    block tuples its relation carries there, each block variable read at
+    its first position.  Tuples that disagree with a constant symbol of the
+    atom are left out.
+    """
+    first: dict[str, int] = {}
+    outer, outer_pos, fixed = [], [], []
+    for i, t in enumerate(atom.terms):
+        if type(t) is ConstSym:
+            fixed.append((i, structure.constant(t.name)))
+        elif t.name in block:
+            first.setdefault(t.name, i)
+        else:
+            outer.append(t.name)
+            outer_pos.append(i)
+    value_pos = [first[v] for v in block]
+    index: dict[tuple, set[tuple]] = {}
+    for tup in structure.relation(atom.name).tuples:
+        if all(tup[i] == c for i, c in fixed):
+            index.setdefault(tuple([tup[i] for i in outer_pos]), set()).add(
+                tuple([tup[i] for i in value_pos]))
+    return index, outer
 
 
 def _equality_guarded_vars(block: Sequence[str], body: Formula) -> frozenset[str]:

@@ -334,6 +334,7 @@ def test_criterion_08_parity_construction():
     for ell, mode, strategy in [(2, "optimized", "optimized"),
                                 (3, "optimized", "optimized"),
                                 (4, "optimized", "optimized"),
+                                (6, "optimized", "optimized"),
                                 (2, "naive+symmetry", "naive")]:
         instance = build_parity_instance(ell)
         start = time.time()

@@ -228,3 +228,59 @@ class TestOutputStability:
                             "--strategy", "naive"])
         assert code == 3
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestMalformedInput:
+    """Bad input files exit 2 and unexpected faults exit 4, each with an
+    error line: status 1 means "false"."""
+
+    TEAMS = [
+        {"vars": ["x"], "rows": 5},
+        {"vars": ["x"], "rows": [["a"], 5]},
+        {"vars": "x", "rows": [["a"]]},
+        {"vars": ["x"], "rows": [[1]]},
+    ]
+    STRUCTURES = [
+        {"domain": "ab"},
+        {"domain": [1, "a"]},
+        {"domain": ["a"], "relations": []},
+        {"domain": ["a"], "relations": {"E": {"arity": 1, "tuples": 3}}},
+        {"domain": ["a"], "relations": {"E": {"arity": "1", "tuples": []}}},
+        {"domain": ["a"], "constants": {"c": ["a"]}},
+        {"domain": ["a"], "constants": ["c"]},
+    ]
+
+    @staticmethod
+    def _eval(structure, team, tmp_path):
+        s, t = tmp_path / "m.json", tmp_path / "t.json"
+        s.write_text(json.dumps(structure))
+        t.write_text(json.dumps(team))
+        return run_command(["eval", "-s", str(s), "-t", str(t),
+                            "-f", "x=x"])
+
+    @pytest.mark.parametrize("team", TEAMS)
+    def test_bad_team_exit_two(self, team, tmp_path, capsys):
+        assert self._eval({"domain": ["a"]}, team, tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_bad_structure_exit_two(self, structure, tmp_path, capsys):
+        team = {"vars": ["x"], "rows": [["a"]]}
+        assert self._eval(structure, team, tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_null_fields_still_mean_empty(self, tmp_path, capsys):
+        structure = {"domain": ["a"], "constants": None, "relations": None}
+        assert self._eval(structure, {"vars": ["x"], "rows": None},
+                          tmp_path) == 0
+
+    def test_unexpected_exception_exit_four(self, monkeypatch, capsys):
+        from teamsem import cli
+
+        def broken(args):
+            raise KeyError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "parity", broken)
+        assert run_command(["parity", "--ell", "2"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal error (KeyError")

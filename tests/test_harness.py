@@ -1,18 +1,24 @@
+import itertools
+import random
+import time
+
 import pytest
 
 from teamsem.dependencies import (Registry, fo_dependency,
                                   functional_dependency, nonemptiness)
 from teamsem.errors import DomainError
+from teamsem import teameval
 from teamsem.harness import (build_chain_instance, build_parity_instance,
                              chain_oracle, check_semantic_equivalence,
                              enumerate_instances, even_cardinality_sentence,
-                             fo_formula_corpus, hook_formula_corpus,
+                             fo_formula_corpus, guarded_forall_corpus,
+                             hook_formula_corpus,
                              involution_oracle, parity_oracle,
                              u_transfer_check)
-from teamsem.structures import RelStructure, Structure
+from teamsem.structures import RelStructure, Structure, Team
 from teamsem.syntax import (free_vars, hook_desugared, parse_formula, to_text,
                             validate_team_formula, validate_usentence)
-from teamsem.teameval import eval_sentence
+from teamsem.teameval import eval_sentence, team_eval
 
 
 class TestEnumerateInstances:
@@ -95,6 +101,58 @@ class TestFormulaCorpus:
         assert len(hooks) == 20
         for h in hooks:
             validate_team_formula(h)
+
+
+class TestGuardedForallCorpus:
+    def test_deterministic_distinct_and_valid(self):
+        a = guarded_forall_corpus(30, seed=4)
+        assert [to_text(f) for f in a] == \
+            [to_text(f) for f in guarded_forall_corpus(30, seed=4)]
+        assert len({to_text(f) for f in a}) == 30
+        for phi in a:
+            validate_team_formula(phi)
+            assert free_vars(phi) <= {"x", "y"}
+
+    def test_strategies_agree(self, monkeypatch):
+        # One fixed seed: seeded structures over domains 1-3 and teams of
+        # at most 3 rows over x, y.
+        start = time.time()
+        rng = random.Random(16)
+        extended = []
+        real = teameval.extend_universal
+
+        def counted(*args):
+            extended.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(teameval, "extend_universal", counted)
+        formulas = guarded_forall_corpus(60, seed=16)
+        checked = fused = 0
+        for m in (1, 2, 3):
+            domain = [f"e{i + 1}" for i in range(m)]
+            cells = {k: list(itertools.product(domain, repeat=k)) for k in (2, 3)}
+            rows = list(itertools.product(domain, repeat=2))
+            teams = [Team(("x", "y"), c) for k in range(4)
+                     for c in itertools.combinations(rows, k)]
+            for _ in range(3):
+                structure = Structure(domain, {"c": "e1"}, {
+                    "E": (2, [t for t in cells[2] if rng.random() < 0.4]),
+                    "T": (3, [t for t in cells[3] if rng.random() < 0.3])})
+                for phi in formulas:
+                    for team in teams:
+                        want = team_eval(structure, team, phi, "naive")
+                        assert team_eval(structure, team, phi,
+                                         "memoized") == want
+                        del extended[:]
+                        assert team_eval(structure, team, phi,
+                                         "optimized") == want, \
+                            f"{to_text(phi)} on {structure} {team}"
+                        fused += not extended
+                        checked += 1
+        # the corpus reaches both the fused path and its fallback
+        assert 0 < fused < checked
+        print(f"guarded forall corpus: {checked} instances agreed, "
+              f"{fused} fused, {time.time() - start:.1f}s")
 
 
 class TestChainInstances:

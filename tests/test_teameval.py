@@ -2,14 +2,17 @@ import itertools
 
 import pytest
 
-from teamsem.dependencies import (Registry, functional_dependency,
-                                  nonemptiness, fo_dependency)
+from teamsem import teameval
+from teamsem.dependencies import (Registry, antisymmetry_egd,
+                                  functional_dependency, nonemptiness,
+                                  fo_dependency)
 from teamsem.errors import BudgetExceededError, DomainError
-from teamsem.harness import enumerate_teams, fo_formula_corpus
+from teamsem.harness import (build_parity_instance, enumerate_teams,
+                             fo_formula_corpus)
 from teamsem.structures import (Structure, Team, enumerate_relations,
                                 full_team, restrict_team, team_equiv_on)
-from teamsem.syntax import (Exists, free_vars, hook_desugared, parse_formula,
-                            to_text)
+from teamsem.syntax import (Exists, Forall, free_vars, hook_desugared,
+                            parse_formula, subformulas, to_text)
 from teamsem.tarski import tarski_eval
 from teamsem.teameval import (Evaluator, eval_builtin_atom, eval_dep_atom,
                               eval_sentence, team_eval)
@@ -290,6 +293,106 @@ class TestStrategyAgreement:
         for team in enumerate_teams(structure.domain, ("x",)):
             assert team_eval(structure, team, phi, "optimized") == \
                 team_eval(structure, team, phi, "memoized")
+
+
+class TestGuardedForallFusion:
+    """Optimized builds the guarded subteam of `forall v. (g ->> psi)` from
+    relation-index lookups; naive extends and filters literally."""
+
+    REGISTRY = Registry([antisymmetry_egd()])
+    # (formula, the block variables optimized still extends the team by)
+    SHAPES = [
+        ("forall z. (E(x,z) ->> dep(x;z))", []),  # z is also a team variable
+        ("forall z. (E(z,z) ->> const(z))", []),
+        ("forall z. (T(c,x,z) ->> dep(;z))", []),
+        ("forall z. (T(z,x,z) ->> ne(z))", []),
+        ("forall z. ((E(x,z) | z=x) ->> dep(x;z))", ["z"]),
+        ("forall z. (!E(x,z) ->> const(z))", ["z"]),
+        ("forall z. ((E(x,z) & !E(z,x)) ->> const(z))", []),
+        ("forall z. ((E(x,z) & exists w. E(z,w)) ->> dep(x;z))", []),
+        ("forall z. ((exists w. E(w,z)) ->> const(z))", ["z"]),
+        ("forall u,w. (((x=c & E(u,w)) | (x!=c & T(x,w,u))) ->> D:antisym(u,w))",
+         []),
+        ("forall u,w. ((E(u,w) <|> T(c,u,w)) ->> (D:antisym(u,w) & dep(x;u)))",
+         []),
+        ("forall u,w. (E(u,x) ->> dep(u;w))", ["u", "w"]),  # no atom names w
+        ("forall z. forall z. (E(x,z) ->> ne(x))", ["z"]),  # the inner one fuses
+    ]
+
+    @staticmethod
+    def structures():
+        domain = ["e1", "e2"]
+        t_rel = [("e1", "e1", "e2"), ("e2", "e1", "e1"), ("e1", "e2", "e1")]
+        for rel in enumerate_relations(domain, 2):
+            yield Structure(domain, {"c": "e1"},
+                            {"E": (2, rel), "T": (3, t_rel)})
+
+    @staticmethod
+    def extensions(monkeypatch):
+        """Counts the forall extensions evaluation makes."""
+        calls = []
+        real = teameval.extend_universal
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(teameval, "extend_universal", counted)
+        return calls
+
+    def test_agrees_with_naive(self, monkeypatch):
+        calls = self.extensions(monkeypatch)
+        for text, extended in self.SHAPES:
+            phi = parse_formula(text, self.REGISTRY, ["c"])
+            for structure in self.structures():
+                for team in enumerate_teams(structure.domain, ("x", "z")):
+                    want = team_eval(structure, team, phi, "naive",
+                                     self.REGISTRY)
+                    del calls[:]
+                    got = team_eval(structure, team, phi, "optimized",
+                                    self.REGISTRY)
+                    assert got == want, f"{text} on {sorted(team.rows)}"
+                    assert calls == extended, text
+
+    def test_empty_team(self):
+        structure = next(self.structures())
+        empty = Team(["x", "z"])
+        for text, _ in self.SHAPES:
+            phi = parse_formula(text, self.REGISTRY, ["c"])
+            verdicts = {team_eval(structure, empty, phi, strategy,
+                                  self.REGISTRY)
+                        for strategy in ("naive", "optimized")}
+            # ne fails on the empty guarded subteam; the rest hold
+            assert verdicts == {"ne(" not in text}, text
+
+    def test_uninterpreted_symbols_fall_back(self, monkeypatch):
+        calls = self.extensions(monkeypatch)
+        m = Structure(["e1", "e2"], {}, {"E": (2, [("e1", "e2")])})
+        team = Team(["x"], [("e1",)])
+        for text in ("forall z. ((E(x,z) & G(z)) ->> dep(x;z))",
+                     "forall z. (E(x,z,z) ->> dep(x;z))",
+                     "forall z. ((E(x,z) & z!=c) ->> dep(x;z))"):
+            phi = parse_formula(text, constants=["c"])
+            for strategy in ("naive", "optimized"):
+                del calls[:]
+                with pytest.raises(DomainError):
+                    team_eval(m, team, phi, strategy)
+                assert calls == ["z"]
+
+    def test_guarded_dep_needs_no_extension(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("forall extended the team")
+
+        instance = build_parity_instance(3)
+        guarded = next(f for f in subformulas(instance.formula)
+                       if isinstance(f, Forall) and f.var == "z1")
+        team = Team(["n", "np", "v", "vp"],
+                    [("1", "2", "1", "3"), ("2", "3", "3", "1")])
+        want = team_eval(instance.structure, team, guarded, "naive",
+                         instance.registry)
+        monkeypatch.setattr(teameval, "extend_universal", refuse)
+        assert team_eval(instance.structure, team, guarded, "optimized",
+                         instance.registry) == want
 
 
 class TestBudget:
