@@ -249,13 +249,9 @@ def _cmd_parity(args) -> int:
 
 
 def _cmd_chain(args) -> int:
-    spec = formats.load_json(args.spec)
-    for field in ("base", "relations"):
-        if field not in spec:
-            raise ValidationError(f"chain spec needs a {field!r} field")
+    base, chain = formats.chain_spec_from_dict(formats.load_json(args.spec))
     dep = formats.dependency_from_dict(formats.load_json(args.dependency))
-    chain = [[tuple(t) for t in rel] for rel in spec["relations"]]
-    instance = build_chain_instance(args.threshold, dep, chain, spec["base"])
+    instance = build_chain_instance(args.threshold, dep, chain, base)
     result = eval_sentence(instance.structure, instance.formula, "optimized",
                            instance.registry, budget=_budget(args))
     _emit(args, {"result": result, "d": args.threshold},

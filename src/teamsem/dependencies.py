@@ -43,8 +43,11 @@ class Dependency:
 
     downward_closed is a syntactic certificate used by the evaluator for
     sound search pruning: builtins dep/const qualify, and first-order
-    dependencies qualify when their sentence is a purely universal DED
-    (every disjunct has an empty existential prefix).
+    dependencies qualify when their sentence is a disjunctive EGD (every
+    consequent disjunct is a conjunction of identities, with no
+    existential prefix).  A consequent R atom can fail on a subrelation:
+    `forall u,v,w. (R(u,v) -> R(u,w))` holds on {(a,a),(a,b)} but not on
+    {(a,a)}.
     """
 
     def __init__(self, name: str, arity: int, kind: str, *,
@@ -108,7 +111,9 @@ class Dependency:
                 ded = validate_ded(self.sentence, self.rel_name)
             except ValidationError:
                 return False
-            return all(not exists_vars for exists_vars, _ in ded.disjuncts)
+            return all(not exists_vars
+                       and not any(isinstance(a, RelAtom) for a in atoms)
+                       for exists_vars, atoms in ded.disjuncts)
         return False
 
     def isomorphism_closure_recorded(self) -> bool | None:

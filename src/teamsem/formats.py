@@ -9,6 +9,7 @@ Dependency:  {"name": "antisym", "arity": 2, "kind": "fo",
   builtin:     {..., "kind": "builtin", "builtin": "dep", "split": [1, 1]}
   extensional: {..., "kind": "extensional", "default": "false",
                 "table": [{"domain": ["a"], "tuples": [["a"]], "holds": true}]}
+Chain spec:  {"base": ["a","b"], "relations": [[], [["a"]], [["a"],["b"]]]}
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ def _token_lists(value: Any, what: str) -> list[tuple[str, ...]]:
     return [tuple(t) for t in value]
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _field(data: dict, name: str, kind: type, default):
     """data[name], or the default when it is missing or null."""
     value = data.get(name)
@@ -59,8 +64,7 @@ def structure_from_dict(data: dict) -> Structure:
         _expect(isinstance(rel, dict) and "arity" in rel and "tuples" in rel,
                 f"relation {name!r} needs 'arity' and 'tuples'")
         arity = rel["arity"]
-        _expect(isinstance(arity, int) and not isinstance(arity, bool),
-                f"relation {name!r} needs an integer 'arity'")
+        _expect(_is_int(arity), f"relation {name!r} needs an integer 'arity'")
         relations[name] = (arity, _token_lists(rel["tuples"],
                                                f"relation {name!r} 'tuples'"))
     return Structure(data["domain"], constants, relations)
@@ -101,29 +105,53 @@ def dependency_from_dict(data: dict) -> Dependency:
     _expect(isinstance(data, dict), "dependency file must hold a JSON object")
     for field in ("name", "arity", "kind"):
         _expect(field in data, f"dependency needs a {field!r} field")
-    kind = data["kind"]
-    name, arity = data["name"], int(data["arity"])
+    kind, name, arity = data["kind"], data["name"], data["arity"]
+    _expect(isinstance(name, str), "dependency 'name' must be a string")
+    _expect(_is_int(arity), "dependency 'arity' must be an integer")
     if kind == "fo":
-        _expect("sentence" in data, "fo dependencies need a 'sentence'")
+        _expect(isinstance(data.get("sentence"), str),
+                "fo dependencies need a 'sentence' string")
         from .syntax import parse_fo_sentence
         return Dependency(name, arity, "fo",
                           sentence=parse_fo_sentence(data["sentence"]),
-                          rel_name=data.get("rel_name", "R"))
+                          rel_name=_field(data, "rel_name", str, "R"))
     if kind == "builtin":
-        _expect("builtin" in data, "builtin dependencies need a 'builtin' field")
-        split = data.get("split")
+        _expect(isinstance(data.get("builtin"), str),
+                "builtin dependencies need a 'builtin' string")
+        split = _field(data, "split", list, None)
+        _expect(not split or len(split) == 2 and all(map(_is_int, split)),
+                "builtin 'split' must be a list of two integers")
         return Dependency(name, arity, "builtin", builtin=data["builtin"],
                           split=tuple(split) if split else None)
     if kind == "extensional":
         table = []
-        for entry in data.get("table") or []:
-            _expect(all(k in entry for k in ("domain", "tuples", "holds")),
+        for entry in _field(data, "table", list, []):
+            _expect(isinstance(entry, dict)
+                    and all(k in entry for k in ("domain", "tuples", "holds")),
                     "table entries need 'domain', 'tuples', 'holds'")
-            table.append((entry["domain"], [tuple(t) for t in entry["tuples"]],
-                          bool(entry["holds"])))
+            _expect(_is_tokens(entry["domain"]),
+                    "table entry 'domain' must be a list of element tokens")
+            _expect(isinstance(entry["holds"], bool),
+                    "table entry 'holds' must be true or false")
+            table.append((entry["domain"],
+                          _token_lists(entry["tuples"], "table entry 'tuples'"),
+                          entry["holds"]))
         return Dependency(name, arity, "extensional", table=table,
-                          default=data.get("default", "strict"))
+                          default=_field(data, "default", str, "strict"))
     raise ValidationError(f"unknown dependency kind {kind!r}")
+
+
+def chain_spec_from_dict(data: dict) -> tuple[list[str], list[list[tuple[str, ...]]]]:
+    """(base domain, chain links) of a `chain` command spec."""
+    _expect(isinstance(data, dict), "chain spec must hold a JSON object")
+    for field in ("base", "relations"):
+        _expect(field in data, f"chain spec needs a {field!r} field")
+    _expect(_is_tokens(data["base"]),
+            "chain spec 'base' must be a list of element tokens")
+    _expect(isinstance(data["relations"], list),
+            "chain spec 'relations' must be a list of links")
+    return data["base"], [_token_lists(rel, "chain spec link")
+                          for rel in data["relations"]]
 
 
 def load_json(path: str) -> Any:

@@ -23,10 +23,12 @@ terminate within budget:
   * memoized:  adds a cache keyed on (subformula, canonical team) and
                restricts disjunction covers to partitions when both sides
                are syntactically downward closed
-  * optimized: adds flat-formula fast paths, joint handling of consecutive
+  * optimized: adds flat-formula fast paths (answered from a per-row
+               cache, never memoized), joint handling of consecutive
                existentials, equality-guard symmetry reduction for witness
-               values, search pruning through downward-closed conjuncts, and
-               guarded-forall fusion (below)
+               values, search pruning through downward-closed conjuncts,
+               singleton witnesses for downward-closed existential bodies,
+               and guarded-forall fusion (both below)
 
 Guarded-forall fusion.  For `forall v1 ... vk. (g ->> psi)` with distinct
 vi, where every top-level disjunct of g has a top-level conjunct that is a
@@ -38,6 +40,17 @@ g satisfies some disjunct, whose atom then holds, so its a is a candidate;
 every candidate is filtered by the whole of g, so the team is
 restrict(X[M/v], g).  Without such atoms, or when the structure does not
 interpret every symbol of g, the literal extend-and-filter rules run.
+
+Singleton witnesses.  When every conjunct of an `exists` block body is
+flat or downward closed, optimized gives each off-block projection row a
+single witness tuple instead of searching nonempty witness sets.  Exact:
+flat formulas are downward closed, so the whole body is.  If some Y
+agreeing with X off the block satisfies the body, keep one of Y's witness
+tuples for each off-block projection row; the result Y' is a subteam of Y
+with the same off-block projection, so it still agrees with X and
+satisfies the body by downward closure.  Under symmetry reduction Y draws
+its tuples from the reduced list, and Y' keeps only tuples of Y, so the
+reduction stays sound.
 
 Evaluation of independent branch obligations is sequential here; verdicts
 are deterministic because every enumeration runs in canonical order.
@@ -74,6 +87,11 @@ def _nonempty_subsets(items: Sequence) -> Iterable[tuple]:
     """All nonempty subsets, smallest first, in a fixed order."""
     for k in range(1, len(items) + 1):
         yield from itertools.combinations(items, k)
+
+
+def _singletons(items: Sequence) -> Iterable[tuple]:
+    """The one-element subsets, in order."""
+    return ((t,) for t in items)
 
 
 class Evaluator:
@@ -171,25 +189,23 @@ class Evaluator:
 
     def _eval(self, team: Team, phi: Formula) -> bool:
         self._tick()
-        use_memo = self.strategy != "naive"
-        if use_memo:
-            key = (id(phi), team.canonical_key)
-            got = self._memo.get(key)
-            if got is not None:
-                return got
-        result = self._eval_inner(team, phi)
-        if use_memo:
-            self._memo[key] = result
-        return result
-
-    def _eval_inner(self, team: Team, phi: Formula) -> bool:
+        if self.strategy == "naive":
+            return self._eval_inner(team, phi)
         if self.strategy == "optimized" and self.is_flat(phi):
+            # Answered row by row from the row cache, so no memo entry.
             return all(self._singleton(team.vars, row, phi)
                        for row in sorted(team.rows))
+        key = (id(phi), team.canonical_key)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = self._eval_inner(team, phi)
+        return got
+
+    def _eval_inner(self, team: Team, phi: Formula) -> bool:
         if isinstance(phi, _LITERALS):
             m = self.structure
             return all(tarski_eval(m, dict(zip(team.vars, row)), phi)
-                       for row in team.rows)
+                       for row in sorted(team.rows))
         if isinstance(phi, And):
             return self._eval(team, phi.left) and self._eval(team, phi.right)
         if isinstance(phi, Or):
@@ -420,6 +436,7 @@ class Evaluator:
         allowed = [tuples] * len(keys)
         order: Sequence[int] = range(len(keys))
         rest, prunable = [body], []
+        subsets = _nonempty_subsets
         if self.strategy == "optimized":
             parts = conjuncts(body)
             flat_parts = [p for p in parts if self.is_flat(p)]
@@ -439,12 +456,14 @@ class Evaluator:
             if not rest:
                 return True  # pick any witness tuple per projection row
             prunable = [p for p in rest if self.is_downward_closed(p)]
+            if len(prunable) == len(rest):
+                subsets = _singletons  # a witness function suffices
 
         # Depth-first over the witness families, one level per projection
         # row, on an explicit stack of open subset iterators: a team's row
         # count must not meet the interpreter's recursion limit.
         picked: list = [None] * len(keys)  # the rows chosen at each level
-        stack = [_nonempty_subsets(allowed[order[0]])]
+        stack = [subsets(allowed[order[0]])]
         while stack:
             depth = len(stack) - 1
             key = keys[order[depth]]
@@ -457,7 +476,7 @@ class Evaluator:
                     if not all(self._eval(partial, p) for p in prunable):
                         continue
                 if depth + 1 < len(keys):
-                    stack.append(_nonempty_subsets(allowed[order[depth + 1]]))
+                    stack.append(subsets(allowed[order[depth + 1]]))
                     break
                 final = empty.with_rows(itertools.chain.from_iterable(picked))
                 if all(self._eval(final, p) for p in rest):

@@ -334,6 +334,7 @@ def test_criterion_08_parity_construction():
     for ell, mode, strategy in [(2, "optimized", "optimized"),
                                 (3, "optimized", "optimized"),
                                 (4, "optimized", "optimized"),
+                                (5, "optimized", "optimized"),
                                 (6, "optimized", "optimized"),
                                 (2, "naive+symmetry", "naive")]:
         instance = build_parity_instance(ell)
@@ -353,12 +354,13 @@ def test_criterion_09_even_cardinality():
     start = time.time()
     phi = even_cardinality_sentence()
     verdicts = {}
-    for size in (1, 2, 3, 4):
+    for size in (1, 2, 3, 4, 5, 6):
         structure = Structure([f"e{i + 1}" for i in range(size)])
         got = eval_sentence(structure, phi, "optimized")
         assert got == involution_oracle(size), f"mismatch at size {size}"
         verdicts[size] = got
-    assert verdicts == {1: False, 2: True, 3: False, 4: True}
+    assert verdicts == {1: False, 2: True, 3: False, 4: True, 5: False,
+                        6: True}
     elapsed = time.time() - start
     assert elapsed < 120, f"took {elapsed:.0f}s (budget 120s)"
     print(f"criterion 9 (even cardinality): PASS — verdicts {verdicts}, "

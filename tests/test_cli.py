@@ -250,13 +250,52 @@ class TestMalformedInput:
         {"domain": ["a"], "constants": ["c"]},
     ]
 
+    NE = {"name": "NE", "arity": 1, "kind": "builtin", "builtin": "ne"}
+    DEPENDENCIES = [
+        dict(NE, arity="two"),
+        dict(NE, arity=True),
+        dict(NE, name=["NE"]),
+        dict(NE, builtin="dep", split=[1]),
+        dict(NE, builtin="dep", split="11"),
+        {"name": "E", "arity": 1, "kind": "extensional",
+         "table": [{"domain": 5, "tuples": 3, "holds": True}]},
+        {"name": "E", "arity": 1, "kind": "extensional",
+         "table": [{"domain": ["a"], "tuples": [["a"]], "holds": "yes"}]},
+        {"name": "E", "arity": 1, "kind": "extensional", "table": {}},
+        {"name": "E", "arity": 1, "kind": "extensional", "table": [5]},
+        {"name": "A", "arity": 2, "kind": "fo", "sentence": 7},
+    ]
+    CHAIN_SPECS = [
+        {"base": ["a", "b"], "relations": 5},
+        {"base": ["a", "b"], "relations": [5]},
+        {"base": ["a", "b"], "relations": [[["a"], 5]]},
+        {"base": "ab", "relations": [[["a"]]]},
+    ]
+
     @staticmethod
-    def _eval(structure, team, tmp_path):
+    def _eval(structure, team, tmp_path, *extra):
         s, t = tmp_path / "m.json", tmp_path / "t.json"
         s.write_text(json.dumps(structure))
         t.write_text(json.dumps(team))
         return run_command(["eval", "-s", str(s), "-t", str(t),
-                            "-f", "x=x"])
+                            "-f", "x=x", *extra])
+
+    @pytest.mark.parametrize("dependency", DEPENDENCIES)
+    def test_bad_dependency_exit_two(self, dependency, tmp_path, capsys):
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps(dependency))
+        assert self._eval({"domain": ["a"]}, {"vars": ["x"], "rows": [["a"]]},
+                          tmp_path, "-d", str(d)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("spec", CHAIN_SPECS)
+    def test_bad_chain_spec_exit_two(self, spec, tmp_path, capsys):
+        c, d = tmp_path / "c.json", tmp_path / "d.json"
+        c.write_text(json.dumps(spec))
+        d.write_text(json.dumps(self.NE))
+        assert run_command(["chain", "--spec", str(c), "--threshold", "1",
+                            "-d", str(d)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("team", TEAMS)
     def test_bad_team_exit_two(self, team, tmp_path, capsys):

@@ -76,9 +76,30 @@ class TestDownwardClosedCertificates:
     def test_universal_ded_qualifies(self):
         assert antisymmetry_egd().downward_closed
 
+    def test_disjunctive_egd_qualifies(self):
+        egd = ded_dependency(
+            "two", "forall x,y,z. ((R(x) & R(y) & R(z)) -> (x=y | y=z | x=z))")
+        assert egd.downward_closed
+
     def test_existential_ded_does_not(self):
         ne_ded = ded_dependency("ne_ded", "forall x. (x=x -> exists y. R(y))")
         assert not ne_ded.downward_closed
+
+    @pytest.mark.parametrize("text", [
+        "forall u,v. (R(u,v) -> R(v,u))",
+        "forall u,v,w. (R(u,v) -> R(u,w))",
+        "forall u,v. (R(u,v) -> (u=v | R(v,u)))",
+    ], ids=["symmetry", "totality", "disjunct-with-atom"])
+    def test_universal_ded_with_consequent_atom_does_not(self, text):
+        # Each holds on some relation and fails on a subrelation of it.
+        dep = fo_dependency("d", 2, text)
+        assert not dep.downward_closed
+        domain = ["a", "b"]
+        assert any(dep_holds(dep, domain, big)
+                   and not dep_holds(dep, domain, small)
+                   for big in enumerate_relations(domain, 2)
+                   for small in enumerate_relations(domain, 2)
+                   if small < big)
 
 
 class TestClassSentence:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -8,11 +9,12 @@ from teamsem.dependencies import (Registry, antisymmetry_egd,
                                   fo_dependency)
 from teamsem.errors import BudgetExceededError, DomainError
 from teamsem.harness import (build_parity_instance, enumerate_teams,
-                             fo_formula_corpus)
+                             fo_formula_corpus, guarded_forall_corpus)
 from teamsem.structures import (Structure, Team, enumerate_relations,
                                 full_team, restrict_team, team_equiv_on)
-from teamsem.syntax import (Exists, Forall, free_vars, hook_desugared,
-                            parse_formula, subformulas, to_text)
+from teamsem.syntax import (And, Exists, Forall, RelAtom, Var, free_vars,
+                            hook_desugared, parse_formula, subformulas,
+                            to_text)
 from teamsem.tarski import tarski_eval
 from teamsem.teameval import (Evaluator, eval_builtin_atom, eval_dep_atom,
                               eval_sentence, team_eval)
@@ -244,6 +246,123 @@ class TestExistsRule:
         phi = parse_formula("exists u. dep(x,y,z;u)")
         for strategy in ("naive", "memoized", "optimized"):
             assert team_eval(structure, team, phi, strategy)
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        """Counts the calls to a witness-set enumerator of teameval."""
+        calls = []
+        real = getattr(teameval, name)
+
+        def wrapped(items):
+            calls.append(len(items))
+            return real(items)
+
+        monkeypatch.setattr(teameval, name, wrapped)
+        return calls
+
+    def test_downward_closed_bodies_take_singletons(self, monkeypatch):
+        def refuse(items):
+            raise AssertionError("optimized searched witness sets")
+
+        monkeypatch.setattr(teameval, "_nonempty_subsets", refuse)
+        structure = Structure(["a", "b", "c"], {}, {"E": (2, [("a", "b")])})
+        team = Team(["x", "z"], [("a", "a"), ("a", "b"), ("b", "c"),
+                                 ("c", "c")])
+        for text, want in (("exists y. dep(x;y)", True),
+                           ("exists y. (dep(y;z) & E(x,y))", False),
+                           ("exists y. (x!=y & dep(z;y) & const(x) <|> "
+                            "dep(;y))", True)):
+            assert team_eval(structure, team, parse_formula(text),
+                             "optimized") == want, text
+        instance = build_parity_instance(2)
+        assert eval_sentence(instance.structure, instance.formula,
+                             "optimized", instance.registry)
+
+    def test_other_bodies_keep_witness_sets(self, monkeypatch):
+        # Each holds only when one projection row takes two witnesses.
+        calls = self.counted(monkeypatch, "_nonempty_subsets")
+        structure = Structure(["a", "b"])
+        cases = [("exists y. anon(x;y)", Team(["x"], [("a",)])),
+                 ("exists y. (inc(x;y) & inc(z;y))",
+                  Team(["x", "z"], [("a", "b")]))]
+        for text, team in cases:
+            phi = parse_formula(text)
+            for strategy in ("naive", "memoized", "optimized"):
+                del calls[:]
+                assert team_eval(structure, team, phi, strategy), \
+                    f"{text} under {strategy}"
+                assert calls, f"{text} under {strategy}"
+
+    def test_fo_dependency_bodies(self):
+        # A universal DED with a consequent R atom is not downward closed,
+        # so its body keeps witness sets: `exists y. D:tot(x,y)` on {x=a}
+        # needs both (a,a) and (a,b).  The EGDs take singletons.
+        deps = [fo_dependency("tot", 2, "forall u,v,w. (R(u,v) -> R(u,w))"),
+                fo_dependency("sym", 2, "forall u,v. (R(u,v) -> R(v,u))"),
+                fo_dependency("loop", 2,
+                              "forall u,v. (R(u,v) -> (u=v | R(v,u)))"),
+                antisymmetry_egd(),
+                fo_dependency("fun", 2,
+                              "forall u,v,w. ((R(u,v) & R(u,w)) -> v=w)")]
+        registry = Registry(deps)
+        two = Structure(["a", "b"])
+        tot = parse_formula("exists y. D:tot(x,y)", registry)
+        for strategy in ("naive", "memoized", "optimized"):
+            assert team_eval(two, Team(["x"], [("a",)]), tot, strategy,
+                             registry), strategy
+        texts = [f"exists y. {body}" for d in deps for body in (
+            f"D:{d.name}(x,y)", f"(D:{d.name}(x,y) & x!=y)",
+            f"(D:{d.name}(x,y) & dep(z;y))", f"(D:{d.name}(y,z) | E(x,y))")]
+        for m in (1, 2):
+            domain = [f"e{i + 1}" for i in range(m)]
+            structure = Structure(domain, {}, {"E": (2, [
+                (u, v) for u in domain for v in domain if u < v])})
+            rows = list(itertools.product(domain, repeat=2))
+            teams = [Team(("x", "z"), c) for k in range(1, 4)
+                     for c in itertools.combinations(rows, k)]
+            for text in texts:
+                phi = parse_formula(text, registry)
+                for team in teams:
+                    want = team_eval(structure, team, phi, "naive", registry)
+                    for strategy in ("memoized", "optimized"):
+                        assert team_eval(structure, team, phi, strategy,
+                                         registry) == want, \
+                            f"{text} on {team} under {strategy}"
+
+    def test_guarded_corpus_under_exists(self, monkeypatch):
+        # Bodies mix downward-closed dep/const with ne/inc/ind/anon, so
+        # the singleton rule and the witness-set search both run.
+        fired = self.counted(monkeypatch, "_singletons")
+        rng = random.Random(18)
+        edge = RelAtom("E", (Var("x"), Var("y")))
+        formulas = [wrapped for phi in guarded_forall_corpus(60, 16)
+                    for wrapped in (Exists("y", phi),
+                                    Exists("y", And(edge, phi)))]
+        checked = singleton = 0
+        for m in (1, 2):
+            domain = [f"e{i + 1}" for i in range(m)]
+            cells = {k: list(itertools.product(domain, repeat=k))
+                     for k in (2, 3)}
+            rows = list(itertools.product(domain, repeat=2))
+            teams = [Team(("x", "y"), c) for k in range(4)
+                     for c in itertools.combinations(rows, k)]
+            for _ in range(2):
+                structure = Structure(domain, {"c": "e1"}, {
+                    "E": (2, [t for t in cells[2] if rng.random() < 0.5]),
+                    "T": (3, [t for t in cells[3] if rng.random() < 0.3])})
+                for phi in formulas:
+                    for team in teams:
+                        want = team_eval(structure, team, phi, "naive")
+                        assert team_eval(structure, team, phi,
+                                         "memoized") == want
+                        del fired[:]
+                        assert team_eval(structure, team, phi,
+                                         "optimized") == want, \
+                            f"{to_text(phi)} on {structure} {team}"
+                        singleton += bool(fired)
+                        checked += 1
+        assert checked == 4080
+        assert 0 < singleton < checked
 
 
 class TestStrategyAgreement:
